@@ -15,7 +15,9 @@ Optimization runs over the 4n+1 free real parameters (all of Q, P minus its
 pinned constant) with a damped Newton method.  P starts at one and Q at the
 maximum-entropy denominator for c, which keeps the initial Hessian away from
 the rank deficiency that the flat start (P and Q both constant) exhibits at
-lambda = 0.
+lambda = 0.  Each iteration transforms all the weights that its gradient and
+Hessian need in one batched FFT, and its line search accepts steps by the
+same rule as newton_solve.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import numpy as np
 from .circulant import SymmetricPseudoPolynomial
 from .dual import (
     DESCENT_SLACK,
+    FLAT_DECREMENT,
     MAX_BACKTRACKS,
     BoundaryCollapseError,
     IterationRecord,
@@ -35,7 +38,14 @@ from .dual import (
     maxent_solve,
 )
 from .grid import DiscreteGrid, SpectrumSamples
-from .kernels import moment_vector, real_to_coeffs, trig_basis
+from .kernels import (
+    coeffs_to_real,
+    hermitian_toeplitz,
+    moment_vector,
+    real_to_coeffs,
+    trig_basis,
+    trig_gram,
+)
 from .moments import CepstralSequence, CovarianceSequence
 
 BOUNDARY_DETECT_TOL = 1e-12
@@ -95,11 +105,6 @@ class JointReport:
         return max(self.covariance_residual, self.cepstral_residual)
 
 
-def _real_params(sym: SymmetricPseudoPolynomial) -> np.ndarray:
-    co = sym.coeffs
-    return np.concatenate(([co[0].real], co[1:].real, co[1:].imag))
-
-
 def _samples(prob, p, q):
     n = prob.n
     if p.degree != n or q.degree != n:
@@ -109,8 +114,8 @@ def _samples(prob, p, q):
     if abs(p.coeffs[0] - 1.0) > 1e-12:
         raise ValueError(f"numerator constant term must be one, got {p.coeffs[0]!r}")
     B = trig_basis(prob.grid.angles, n)
-    pv = _real_params(p) @ B
-    qv = _real_params(q) @ B
+    pv = coeffs_to_real(p.coeffs) @ B
+    qv = coeffs_to_real(q.coeffs) @ B
     for name, vals in (("numerator", pv), ("denominator", qv)):
         bad = np.nonzero(vals <= 0.0)[0]
         if bad.size:
@@ -144,13 +149,10 @@ def joint_gradient(prob: JointProblem, p, q) -> tuple[np.ndarray, np.ndarray]:
     minus the regularization moments lambda * integrate(1/P, k).
     """
     pv, qv = _samples(prob, p, q)
-    angles = prob.grid.angles
-    n = prob.n
-    gq = prob.c.c - moment_vector(angles, pv / qv, n)
-    gp = moment_vector(angles, np.log(pv / qv), n)[1:] - prob.m.m
-    if prob.regularization:
-        gp -= prob.regularization * moment_vector(angles, 1.0 / pv, n)[1:]
-    return gq, gp
+    ratio, log_ratio, inv_p = moment_vector(
+        prob.grid.angles, np.stack([pv / qv, np.log(pv / qv), 1.0 / pv]), prob.n
+    )
+    return prob.c.c - ratio, log_ratio[1:] - prob.m.m - prob.regularization * inv_p[1:]
 
 
 def joint_hessian(prob: JointProblem, p, q) -> np.ndarray:
@@ -162,25 +164,37 @@ def joint_hessian(prob: JointProblem, p, q) -> np.ndarray:
     Each block is Toeplitz.
     """
     pv, qv = _samples(prob, p, q)
-    angles = prob.grid.angles
-    n = prob.n
     lam = prob.regularization
-
-    def toeplitz(h):
-        size = h.size
-        M = np.empty((size, size), dtype=complex)
-        for k in range(size):
-            for l in range(size):
-                M[k, l] = h[k - l] if k >= l else np.conj(h[l - k])
-        return M
-
-    qq = toeplitz(moment_vector(angles, pv / qv**2, n))
-    inv_q = toeplitz(moment_vector(angles, 1.0 / qv, n))
     pp_w = 1.0 / pv + (lam / pv**2 if lam else 0.0)
-    pp = toeplitz(moment_vector(angles, pp_w, n))
+    mom = moment_vector(prob.grid.angles, np.stack([pv / qv**2, 1.0 / qv, pp_w]), prob.n)
+    qq, inv_q, pp = (hermitian_toeplitz(h) for h in mom)
     top = np.hstack([qq, -inv_q[:, 1:]])
     bottom = np.hstack([-inv_q[1:, :], pp[1:, 1:]])
     return np.vstack([top, bottom])
+
+
+def _moments(angles, pv, qv, lam, n):
+    """Moments to lag 2n of every weight one Newton step needs, in one transform.
+
+    Rows: P/Q, P/Q^2, log(P/Q), 1/Q, 1/P + lambda/P^2 and, for lambda > 0,
+    1/P; so the last row holds the moments of 1/P at every lambda.
+    """
+    weights = [pv / qv, pv / qv**2, np.log(pv / qv), 1.0 / qv, 1.0 / pv + lam / pv**2]
+    if lam:
+        weights.append(1.0 / pv)
+    return moment_vector(angles, np.array(weights), 2 * n)
+
+
+def _real_hessian(mom):
+    """Real Hessian in (q_0, Re q_k, Im q_k, Re p_k, Im p_k) from `_moments` rows."""
+    qq, inv_q, pp = trig_gram(mom[[1, 3, 4]])
+    size = qq.shape[0]    # 2n+1 parameters of Q, then the 2n free ones of P
+    H = np.empty((2 * size - 1, 2 * size - 1))
+    H[:size, :size] = qq
+    H[:size, size:] = -inv_q[:, 1:]
+    H[size:, :size] = -inv_q[1:, :]
+    H[size:, size:] = pp[1:, 1:]
+    return H
 
 
 def _real_grad(gq, gp):
@@ -216,13 +230,13 @@ def joint_solve(
     if initial is not None:
         p0, q0 = initial
         _samples(prob, p0, q0)    # degree, normalization and positivity checks
-        vq = _real_params(q0)
-        vp = _real_params(p0)[1:]
+        vq = coeffs_to_real(q0.coeffs)
+        vp = coeffs_to_real(p0.coeffs)[1:]
     else:
         # P = 1 flat, Q from plain covariance matching: a strictly interior
         # pair whose Hessian is nonsingular even without regularization
         base = maxent_solve(prob.c, grid, SolverOptions(grad_tol=1e-8))
-        vq = _real_params(base.q)
+        vq = coeffs_to_real(base.q.coeffs)
         vp = np.zeros(2 * n)
 
     def node_values(u):
@@ -237,6 +251,14 @@ def joint_solve(
             value -= lam * float(np.mean(np.log(pv)))
         return value
 
+    def gradient(mom):
+        gq = prob.c.c - mom[0, : n + 1]
+        gp = mom[2, 1 : n + 1] - prob.m.m - lam * mom[-1, 1 : n + 1]
+        return gq, gp
+
+    def residual_of(gq, gp):
+        return max(float(np.max(np.abs(gq))), float(np.max(np.abs(gp))))
+
     u = np.concatenate([vq, vp])
     pv, qv = node_values(u)
     if min(pv.min(), qv.min()) <= opts.boundary_floor:
@@ -244,10 +266,8 @@ def joint_solve(
     current = objective(u, pv, qv)
     trace: list[IterationRecord] = []
     for iteration in range(opts.max_iter + 1):
-        gq = prob.c.c - moment_vector(angles, pv / qv, n)
-        gp = moment_vector(angles, np.log(pv / qv), n)[1:] - prob.m.m
-        if lam:
-            gp -= lam * moment_vector(angles, 1.0 / pv, n)[1:]
+        mom = _moments(angles, pv, qv, lam, n)
+        gq, gp = gradient(mom)
         cov_res = float(np.max(np.abs(gq)))
         cep_res = float(np.max(np.abs(gp)))
         residual = max(cov_res, cep_res)
@@ -256,9 +276,7 @@ def joint_solve(
             p = SymmetricPseudoPolynomial(
                 real_to_coeffs(np.concatenate(([1.0], u[2 * n + 1 :])))
             )
-            epsilon = None
-            if lam:
-                epsilon = lam * moment_vector(angles, 1.0 / pv, n)[1:]
+            epsilon = lam * mom[-1, 1 : n + 1] if lam else None
             floor = BOUNDARY_DETECT_TOL * max(1.0, float(pv.max()))
             return JointReport(
                 p=p,
@@ -277,22 +295,26 @@ def joint_solve(
             )
         if iteration == opts.max_iter:
             break
-        wq = pv / qv**2
-        wp = 1.0 / pv + (lam / pv**2 if lam else 0.0)
-        Hqq = (B * wq) @ B.T / grid.size
-        Hqp = -(B / qv) @ Bp.T / grid.size
-        Hpp = (Bp * wp) @ Bp.T / grid.size
-        H = np.block([[Hqq, Hqp], [Hqp.T, Hpp]])
+        H = _real_hessian(mom)
         hess_min = float(np.linalg.eigvalsh(H)[0])
-        step = np.linalg.solve(H, -_real_grad(gq, gp))
+        g = _real_grad(gq, gp)
+        step = np.linalg.solve(H, -g)
+        slack = DESCENT_SLACK * (1.0 + abs(current))
+        # same rule as newton_solve: when the decrement is below the rounding
+        # of the objective, a full interior step counts if it lowers the residual
+        flat = -float(g @ step) <= FLAT_DECREMENT * (1.0 + abs(current))
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             u_new = u + t * step
             pv_new, qv_new = node_values(u_new)
             if min(pv_new.min(), qv_new.min()) > opts.boundary_floor:
                 candidate = objective(u_new, pv_new, qv_new)
-                if candidate <= current + DESCENT_SLACK * (1.0 + abs(current)):
+                if candidate <= current + slack:
                     break
+                if flat and t == 1.0:
+                    moved = gradient(_moments(angles, pv_new, qv_new, lam, n))
+                    if residual_of(*moved) < residual:
+                        break
             t *= opts.backtrack_ratio
         else:
             hint = ""

@@ -263,9 +263,8 @@ def invert(a) -> Circulant:
 def banded_check(m, n: int) -> bool:
     """True when symbol coefficients with |k| > n vanish to 1e-10 relative."""
     grid, v = _samples_of(m)
-    # full coefficient window k = -N+1 ... N, position k+N-1
-    phases = np.exp(1j * np.outer(grid.indices, grid.angles))
-    coeffs = (phases * v).mean(axis=1)
+    # full coefficient window k = -N+1 ... N, lag k stored at k mod 2N
+    coeffs = moment_vector(grid.angles, v, grid.size - 1)[grid.indices % grid.size]
     scale = max(float(np.max(np.abs(coeffs))), 1e-300)
     tail = coeffs[np.abs(grid.indices) > n]
     if tail.size == 0:

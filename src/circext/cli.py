@@ -4,8 +4,9 @@ Subcommands: solve, maxent, cepstral, approx, simulate, estimate, check.
 Each reads JSON input, writes JSON and CSV results into an output directory
 (--out, else the CIRCEXT_OUT_DIR environment variable, else the current
 directory), and leaves a run.json provenance record.  Exit codes: 0 success,
-1 input error, 2 infeasible input / boundary failure / threshold not found,
-3 numerator collapse in unregularized cepstral matching.
+1 input error, 2 infeasible input / boundary failure / threshold not found /
+certificate LP over its pivot budget, 3 numerator collapse in unregularized
+cepstral matching.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from . import fileio
 from .fileio import InputFormatError
 from .moments import CovarianceSequence, feasibility_certificate
 from .process import estimate_cepstra, estimate_covariances, sample_realizations
+from .simplex import PIVOT_BUDGET_MESSAGE
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -70,12 +72,13 @@ def _options(spec, args):
     return opts
 
 
-def _finish(out, command, input_path, started, outputs):
+def _finish(out, command, input_path, started, outputs, timings=None):
     record = fileio.run_record(
         command,
         fileio.sha256_file(input_path),
         1e3 * (time.perf_counter() - started),
         outputs,
+        timings,
     )
     fileio.dump_json(record, os.path.join(out, "run.json"))
 
@@ -197,13 +200,14 @@ def run_approx(args) -> int:
     report = convergence_sweep(c, sizes, p=p, reference_N=reference_N)
     stages = []
     rows = []
+    runtimes = []
     for s in report.stages:
         entry = {"N": s.N, "feasible": s.feasible}
         if s.distance is not None:
             entry["distance"] = s.distance
             entry["iterations"] = s.iterations
-            entry["runtime_ms"] = s.runtime_ms
-            rows.append((s.N, s.distance, s.iterations, s.runtime_ms))
+            rows.append((s.N, s.distance, s.iterations))
+            runtimes.append({"N": s.N, "runtime_ms": s.runtime_ms})
         if s.error is not None:
             entry["error"] = s.error
         stages.append(entry)
@@ -218,13 +222,15 @@ def run_approx(args) -> int:
     }
     fileio.dump_json(payload, os.path.join(out, "approx.json"))
     fileio.write_csv(
-        os.path.join(out, "sweep.csv"), "N,distance,iterations,runtime_ms", rows
+        os.path.join(out, "sweep.csv"), "N,distance,iterations", rows
     )
     print(
         f"threshold N0={threshold}; swept {len(rows)} feasible grids, "
         f"eventually_decreasing={report.eventually_decreasing}"
     )
-    _finish(out, "approx", args.config, started, ["approx.json", "sweep.csv"])
+    _finish(
+        out, "approx", args.config, started, ["approx.json", "sweep.csv"], {"stages": runtimes}
+    )
     return EXIT_OK
 
 
@@ -377,6 +383,11 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     except (BoundaryCollapseError, MaxIterationsError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except RuntimeError as exc:
+        if str(exc) != PIVOT_BUDGET_MESSAGE:
+            raise
+        print(f"{type(exc).__name__}: {exc}; the certificate LP is undecided", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (InputFormatError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

@@ -9,7 +9,10 @@ over denominators Q of degree n that stay positive at every node.  The unique
 interior minimizer matches the lags of P/Q to c exactly.  Optimization runs
 over the 2n+1 real degrees of freedom (q_0, Re q_k, Im q_k); each step solves
 the real symmetric Newton system and backtracks until the iterate is interior
-and the objective has decreased.
+and the objective has decreased.  Each iteration takes the moments of P/Q and
+P/Q^2 from one FFT, O(N log N), and assembles the Hessian from them in O(n^3).
+Where the Newton decrement is below the rounding of the objective, a full
+interior step that lowers the residual is accepted as well.
 """
 
 from __future__ import annotations
@@ -20,11 +23,19 @@ import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial, eval_symbol
 from .grid import DiscreteGrid, SpectrumSamples
-from .kernels import moment_vector, real_to_coeffs, trig_basis
+from .kernels import (
+    coeffs_to_real,
+    hermitian_toeplitz,
+    moment_vector,
+    real_to_coeffs,
+    trig_basis,
+    trig_gram,
+)
 from .moments import CovarianceSequence
 
 MAX_BACKTRACKS = 60
 DESCENT_SLACK = 1e-15    # rounding allowance on the strict-decrease test
+FLAT_DECREMENT = 1e-12   # Newton decrement below which objective rounding hides progress
 NONNEG_TOL = 1e-12
 
 
@@ -155,13 +166,7 @@ def dual_hessian(prob: DualProblem, q: SymmetricPseudoPolynomial) -> np.ndarray:
     """
     qv = _q_samples(prob, q)
     pv = prob.p_samples.values.real
-    n = prob.n
-    h = moment_vector(prob.grid.angles, pv / qv**2, n)
-    H = np.empty((n + 1, n + 1), dtype=complex)
-    for k in range(n + 1):
-        for l in range(n + 1):
-            H[k, l] = h[k - l] if k >= l else np.conj(h[l - k])
-    return H
+    return hermitian_toeplitz(moment_vector(prob.grid.angles, pv / qv**2, prob.n))
 
 
 def _real_gradient(gc: np.ndarray) -> np.ndarray:
@@ -191,7 +196,7 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
             raise ValueError(f"initial_q degree {q0.degree} exceeds lag count {n}")
         coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[: q0.degree + 1] = q0.coeffs
-        v = np.concatenate(([coeffs[0].real], coeffs[1:].real, coeffs[1:].imag))
+        v = coeffs_to_real(coeffs)
     else:
         v = np.zeros(2 * n + 1)
         v[0] = float(np.mean(pv)) / prob.c.c[0].real
@@ -202,15 +207,21 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     def objective(qvals, vvec):
         return _pairing(prob.c.c, real_to_coeffs(vvec)) - float(np.mean(pv * np.log(qvals)))
 
+    def residual_at(qvals):
+        return float(np.max(np.abs(prob.c.c - moment_vector(angles, pv / qvals, n))))
+
     trace: list[IterationRecord] = []
     current = objective(qv, v)
     for iteration in range(opts.max_iter + 1):
-        gc = prob.c.c - moment_vector(angles, pv / qv, n)
+        # one transform per iteration: P/Q for the gradient, P/Q^2 for the Hessian
+        ratio = pv / qv
+        mom = moment_vector(angles, np.array([ratio, pv / qv**2]), 2 * n)
+        gc = prob.c.c - mom[0, : n + 1]
         residual = float(np.max(np.abs(gc)))
         if residual <= opts.grad_tol * scale:
             q = SymmetricPseudoPolynomial(real_to_coeffs(v))
-            phi = SpectrumSamples(grid, pv / qv)
-            extended = moment_vector(angles, pv / qv, grid.N)
+            phi = SpectrumSamples(grid, ratio)
+            extended = moment_vector(angles, ratio, grid.N)
             return SolutionReport(
                 q=q,
                 p=prob.p,
@@ -224,17 +235,23 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
             )
         if iteration == opts.max_iter:
             break
-        weight = pv / qv**2
-        H = (B * weight) @ B.T / grid.size
+        H = trig_gram(mom[1])
         hess_min = float(np.linalg.eigvalsh(H)[0])
-        step = np.linalg.solve(H, -_real_gradient(gc))
+        g = _real_gradient(gc)
+        step = np.linalg.solve(H, -g)
+        slack = DESCENT_SLACK * (1.0 + abs(current))
+        # below the rounding of the objective the decrease test cannot see
+        # progress, so a full step then counts if it lowers the residual
+        flat = -float(g @ step) <= FLAT_DECREMENT * (1.0 + abs(current))
         t = 1.0
         for _ in range(MAX_BACKTRACKS):
             v_new = v + t * step
             qv_new = v_new @ B
             if qv_new.min() > opts.boundary_floor:
                 candidate = objective(qv_new, v_new)
-                if candidate <= current + DESCENT_SLACK * (1.0 + abs(current)):
+                if candidate <= current + slack:
+                    break
+                if flat and t == 1.0 and residual_at(qv_new) < residual:
                     break
             t *= opts.backtrack_ratio
         else:

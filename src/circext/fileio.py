@@ -79,9 +79,14 @@ def dump_json(obj: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
+    """Parse a JSON object, refusing the non-standard NaN and Infinity tokens."""
+
+    def refuse(token):
+        raise InputFormatError(f"{path}: non-finite number {token} is not allowed")
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
@@ -386,9 +391,19 @@ def read_ensemble(dir_path: str) -> tuple[np.ndarray, DiscreteGrid, dict]:
     return np.stack(rows), grid, manifest
 
 
-def run_record(command: str, input_sha256: str, wall_clock_ms: float, outputs: list[str]) -> dict:
-    """Provenance sidecar; the timestamp makes it the one non-reproducible file."""
-    return {
+def run_record(
+    command: str,
+    input_sha256: str,
+    wall_clock_ms: float,
+    outputs: list[str],
+    timings: dict | None = None,
+) -> dict:
+    """Provenance sidecar, the one non-reproducible file.
+
+    It holds the timestamp and every wall-clock figure: the whole run's and,
+    when given, the command's own timings (for approx, one per swept grid).
+    """
+    record = {
         "version": FORMAT_VERSION,
         "kind": "run",
         "artifact_version": ARTIFACT_VERSION,
@@ -398,3 +413,6 @@ def run_record(command: str, input_sha256: str, wall_clock_ms: float, outputs: l
         "wall_clock_ms": wall_clock_ms,
         "outputs": outputs,
     }
+    if timings:
+        record["timings"] = timings
+    return record

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .kernels import moment_vector
+
 SYMMETRY_TOL = 1e-12
 
 
@@ -191,7 +193,8 @@ def integrate(spectrum: SpectrumSamples, k: int) -> complex:
     grid = spectrum.grid
     if not -grid.N <= k <= grid.N:
         raise ValueError(f"k={k} outside [-N, N] = [{-grid.N}, {grid.N}]")
-    return complex(np.mean(np.exp(1j * k * grid.angles) * spectrum.values))
+    # lag k is lag k mod 2N on the grid, so negative k reads a nonnegative lag
+    return complex(moment_vector(grid.angles, spectrum.values, k % grid.size)[-1])
 
 
 def plancherel_inner(f: Signal, g: Signal) -> complex:

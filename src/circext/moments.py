@@ -14,7 +14,7 @@ import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial
 from .grid import DiscreteGrid, SpectrumSamples
-from .kernels import moment_vector
+from .kernels import hermitian_toeplitz, moment_vector
 from .simplex import simplex_maximize
 
 REAL_TOL = 1e-12
@@ -74,12 +74,7 @@ def toeplitz_matrix(c: CovarianceSequence) -> np.ndarray:
     This is the covariance matrix of n+1 consecutive samples: the first
     column holds c_0 ... c_n, the first row their conjugates.
     """
-    n = c.n
-    T = np.empty((n + 1, n + 1), dtype=complex)
-    for i in range(n + 1):
-        for j in range(n + 1):
-            T[i, j] = c.c[i - j] if i >= j else np.conj(c.c[j - i])
-    return T
+    return hermitian_toeplitz(c.c)
 
 
 def toeplitz_positive(c: CovarianceSequence):
@@ -175,6 +170,8 @@ def feasibility_certificate(c: CovarianceSequence, grid: DiscreteGrid) -> Feasib
     objective[0], objective[1] = 1.0, -1.0
     x, value = simplex_maximize(objective, np.array(rows), np.array(rhs))
     margin = float(value)
+    if not np.isfinite(margin):
+        raise ValueError(f"certificate LP returned margin {margin}; the lags must be finite")
     tol = FEASIBLE_TOL * max(1.0, c.c[0].real)
     if margin <= tol:
         return FeasibilityCertificate(False, None, margin)

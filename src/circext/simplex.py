@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 PIVOT_TOL = 1e-9
+PIVOT_BUDGET_MESSAGE = "simplex exceeded the pivot budget"
 ARTIFICIAL_TOL = 1e-7
 
 
@@ -54,7 +55,7 @@ def _pivot_until_optimal(tableau, basis, cost, max_pivots):
             if i != leaving and tableau[i, entering] != 0.0:
                 tableau[i] -= tableau[i, entering] * tableau[leaving]
         basis[leaving] = entering
-    raise RuntimeError("simplex exceeded the pivot budget")
+    raise RuntimeError(PIVOT_BUDGET_MESSAGE)
 
 
 def simplex_maximize(obj, A, b, max_pivots: int = 20000):

@@ -125,6 +125,40 @@ class TestCheck:
         assert payload["margin"] == pytest.approx(-0.9, abs=1e-6)
         assert "witness" not in payload
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_input_exits_one(self, tmp_path, capsys, token):
+        problem = tmp_path / "problem.json"
+        problem.write_text(f'{{"version": 1, "N": 8, "c": [{token}, 0.3]}}')
+        out = tmp_path / "o"
+        assert main(["check", str(problem), "--out", str(out)]) == 1
+        assert "InputFormatError" in capsys.readouterr().err
+        assert not (out / "check.json").exists()
+
+    def test_pivot_budget_exits_two(self, tmp_path, capsys, monkeypatch):
+        import circext.moments
+
+        def exhausted(*args, **kwargs):
+            raise RuntimeError("simplex exceeded the pivot budget")
+
+        monkeypatch.setattr(circext.moments, "simplex_maximize", exhausted)
+        problem = write_problem(tmp_path, AR1)
+        out = tmp_path / "o"
+        assert main(["check", problem, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("RuntimeError: simplex exceeded the pivot budget")
+        assert err.count("\n") == 1
+        assert not (out / "check.json").exists()
+
+    def test_other_runtime_errors_propagate(self, tmp_path, monkeypatch):
+        import circext.moments
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("something else")
+
+        monkeypatch.setattr(circext.moments, "simplex_maximize", broken)
+        with pytest.raises(RuntimeError, match="something else"):
+            main(["check", write_problem(tmp_path, AR1), "--out", str(tmp_path / "o")])
+
 
 class TestCepstral:
     def test_white_fixed_point(self, tmp_path):
@@ -215,6 +249,27 @@ class TestApprox:
         sweep = read_csv(out / "sweep.csv")
         assert sweep.shape[0] == 4
         assert sweep[-1, 1] < sweep[0, 1]
+
+    def test_outputs_are_byte_reproducible(self, tmp_path):
+        config = tmp_path / "config.json"
+        fio.dump_json(
+            {"version": 1, "c": [[1.0, 0.0], [0.6, 0.2]], "n_max": 16, "reference_N": 64},
+            str(config),
+        )
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["approx", str(config), "--out", str(first)]) == 0
+        assert main(["approx", str(config), "--out", str(second)]) == 0
+        assert sorted(os.listdir(first)) == ["approx.json", "run.json", "sweep.csv"]
+        for name in ("approx.json", "sweep.csv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert b"runtime_ms" not in (first / "approx.json").read_bytes()
+        assert (first / "sweep.csv").read_text().splitlines()[0] == "N,distance,iterations"
+        # the wall-clock stage times live in run.json, one per solved grid
+        payload = json.loads((first / "approx.json").read_text())
+        solved = [s["N"] for s in payload["stages"] if "distance" in s]
+        timings = json.loads((first / "run.json").read_text())["timings"]["stages"]
+        assert [t["N"] for t in timings] == solved
+        assert all(t["runtime_ms"] > 0.0 for t in timings)
 
     def test_infeasible_stages_are_recorded(self, tmp_path):
         config = tmp_path / "config.json"

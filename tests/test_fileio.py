@@ -203,6 +203,13 @@ class TestProblemParsing:
         with pytest.raises(fio.InputFormatError):
             fio.load_problem(str(arr))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_rejected(self, tmp_path, token):
+        path = tmp_path / "problem.json"
+        path.write_text(f'{{"version": 1, "N": 8, "c": [1.0, [0.3, {token}]]}}')
+        with pytest.raises(fio.InputFormatError, match=f"non-finite number {token}"):
+            fio.load_problem(str(path))
+
 
 def solved_report():
     grid = DiscreteGrid(8)
@@ -357,3 +364,9 @@ class TestRunRecord:
         from datetime import datetime
 
         datetime.fromisoformat(record["timestamp"])
+        assert "timings" not in record
+
+    def test_timings(self):
+        timings = {"stages": [{"N": 8, "runtime_ms": 1.5}]}
+        record = fio.run_record("approx", "a" * 64, 12.5, ["approx.json"], timings)
+        assert record["timings"] == timings

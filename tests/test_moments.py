@@ -262,3 +262,9 @@ class TestCertificate:
     def test_degree_must_fit_grid(self):
         with pytest.raises(ValueError):
             feasibility_certificate(AWKWARD, DiscreteGrid(2))
+
+    @pytest.mark.parametrize("lags", [[np.nan, 0.3], [1.0, np.nan], [np.inf, 0.3]])
+    def test_non_finite_margin_is_refused(self, lags):
+        c = CovarianceSequence(np.array(lags, dtype=complex))
+        with pytest.raises(ValueError, match="non-finite|must be finite"):
+            feasibility_certificate(c, DiscreteGrid(8))
