@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import SymmetricPseudoPolynomial, constant_symbol
+from .circulant import SymmetricPseudoPolynomial, constant_symbol, is_positive_on_grid
 from .dual import DualProblem, SolverOptions, newton_solve
 from .grid import DiscreteGrid
 from .moments import CovarianceSequence, feasibility_certificate, toeplitz_positive
@@ -117,15 +117,6 @@ class SweepReport:
     eventually_decreasing: bool = False
 
 
-def _circle_positive_everywhere(p: SymmetricPseudoPolynomial, samples: int) -> float:
-    # dense check on the continuous circle, not just any one grid
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    vals = np.full(samples, p.coeffs[0].real)
-    for k in range(1, p.degree + 1):
-        vals += 2.0 * (p.coeffs[k] * np.exp(-1j * k * theta)).real
-    return float(vals.min())
-
-
 def convergence_sweep(
     c: CovarianceSequence,
     grid_sizes: list[int],
@@ -141,14 +132,6 @@ def convergence_sweep(
     denominator coefficients.  The eventually_decreasing flag certifies that
     the distances of the last (up to four) successful stages are nonincreasing.
     """
-    if p is None:
-        p = constant_symbol(1.0)
-    margin = _circle_positive_everywhere(p, 4 * max(reference_N, 1))
-    if margin <= 0.0:
-        raise ValueError(
-            f"numerator dips to {margin:.3e} on the circle; refinement "
-            "requires positivity everywhere, not only at grid nodes"
-        )
     if not grid_sizes:
         raise ValueError("the schedule must contain at least one grid size")
     if any(b <= a for a, b in zip(grid_sizes, grid_sizes[1:])):
@@ -157,6 +140,15 @@ def convergence_sweep(
         raise ValueError(f"every grid size must exceed the lag degree {c.n}")
     if reference_N <= grid_sizes[-1]:
         raise ValueError("reference_N must exceed every swept grid size")
+    if p is None:
+        p = constant_symbol(1.0)
+    # dense check on the continuous circle: the 4 * reference_N nodes of a doubled grid
+    positive, margin = is_positive_on_grid(p, DiscreteGrid(2 * reference_N))
+    if not positive:
+        raise ValueError(
+            f"numerator dips to {margin:.3e} on the circle; refinement "
+            "requires positivity everywhere, not only at grid nodes"
+        )
 
     ref_grid = DiscreteGrid(reference_N)
     ref = newton_solve(DualProblem(ref_grid, c, p), opts)

@@ -12,29 +12,31 @@ explicit nonnegative correction epsilon_k for lambda > 0.  The lambda term
 repels P from the boundary, trading cepstral accuracy for robustness.
 
 Optimization runs over the 4n+1 free real parameters (all of Q, P minus its
-pinned constant) with a damped Newton method.  P starts at one and Q at the
-maximum-entropy denominator for c, which keeps the initial Hessian away from
-the rank deficiency that the flat start (P and Q both constant) exhibits at
+pinned constant) with the damped Newton driver of the dual module,
+`dual._damped_newton`.  P starts at one and Q at the maximum-entropy
+denominator for c, which keeps the initial Hessian away from the rank
+deficiency that the flat start (P and Q both constant) exhibits at
 lambda = 0.  Each iteration transforms all the weights that its gradient and
-Hessian need in one batched FFT, and its line search accepts steps by the
-same rule as newton_solve.
+Hessian need in one batched FFT.  The public joint_value/joint_gradient/
+joint_hessian evaluate the objective and derivative functions that the
+driver runs.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial
 from .dual import (
-    DESCENT_SLACK,
-    FLAT_DECREMENT,
-    MAX_BACKTRACKS,
     BoundaryCollapseError,
     IterationRecord,
     MaxIterationsError,
     SolverOptions,
+    _damped_newton,
+    _symbol_samples,
     maxent_solve,
 )
 from .grid import DiscreteGrid, SpectrumSamples
@@ -42,6 +44,7 @@ from .kernels import (
     coeffs_to_real,
     hermitian_toeplitz,
     moment_vector,
+    pairing,
     real_to_coeffs,
     trig_basis,
     trig_gram,
@@ -105,41 +108,52 @@ class JointReport:
         return max(self.covariance_residual, self.cepstral_residual)
 
 
-def _samples(prob, p, q):
-    n = prob.n
-    if p.degree != n or q.degree != n:
-        raise ValueError(
-            f"symbol degrees ({p.degree}, {q.degree}) differ from target degree {n}"
-        )
+def _samples(prob, p, q) -> np.ndarray:
+    """Node samples (P, Q) of validated symbols, as the rows of one array."""
     if abs(p.coeffs[0] - 1.0) > 1e-12:
         raise ValueError(f"numerator constant term must be one, got {p.coeffs[0]!r}")
-    B = trig_basis(prob.grid.angles, n)
-    pv = coeffs_to_real(p.coeffs) @ B
-    qv = coeffs_to_real(q.coeffs) @ B
-    for name, vals in (("numerator", pv), ("denominator", qv)):
-        bad = np.nonzero(vals <= 0.0)[0]
-        if bad.size:
-            j = int(prob.grid.indices[bad[0]])
-            raise ValueError(f"{name} sample at node j={j} is {vals[bad[0]]!r}, not positive")
-    return pv, qv
+    return np.array((_symbol_samples(prob, p, "numerator"), _symbol_samples(prob, q)))
 
 
-def _pair(seq: np.ndarray, coeffs: np.ndarray) -> float:
-    value = (seq[0] * np.conj(coeffs[0])).real
-    if seq.size > 1:
-        value += 2.0 * np.sum((seq[1:] * np.conj(coeffs[1:])).real)
-    return float(value)
+def _params(p, q) -> np.ndarray:
+    """Real parameters (q_0, Re q_k, Im q_k, Re p_k, Im p_k); p_0 = 1 is pinned."""
+    return np.concatenate([coeffs_to_real(q.coeffs), coeffs_to_real(p.coeffs)[1:]])
 
 
-def joint_value(prob: JointProblem, p, q) -> float:
-    """Regularized objective at grid-positive symbols p, q with p_0 = 1."""
-    pv, qv = _samples(prob, p, q)
+def _joint_objective(prob: JointProblem, u: np.ndarray, s: np.ndarray) -> float:
+    """J_lambda at real parameters u with node samples s = (P, Q)."""
+    size = 2 * prob.n + 1
     lam = prob.regularization
-    value = _pair(prob.c.c, q.coeffs) - _pair(prob.m.with_zero(), p.coeffs)
+    pv, qv = s
+    value = pairing(prob.c.c, real_to_coeffs(u[:size]))
+    value -= pairing(prob.m.with_zero(), real_to_coeffs(np.concatenate(([1.0], u[size:]))))
     value += float(np.mean(pv * np.log(pv / qv)))
     if lam:
         value -= lam * float(np.mean(np.log(pv)))
     return value
+
+
+def _joint_derivatives(prob: JointProblem, s: np.ndarray):
+    """Gradient blocks (g_q, g_p) at node samples s = (P, Q) and the moments behind them.
+
+    One transform takes every weight a Newton step needs to lag 2n.  Rows:
+    P/Q, P/Q^2, log(P/Q), 1/Q, 1/P + lambda/P^2 and, for lambda > 0, 1/P; so
+    the last row holds the moments of 1/P at every lambda.
+    """
+    n, lam = prob.n, prob.regularization
+    pv, qv = s
+    weights = [pv / qv, pv / qv**2, np.log(pv / qv), 1.0 / qv, 1.0 / pv + lam / pv**2]
+    if lam:
+        weights.append(1.0 / pv)
+    mom = moment_vector(prob.grid.angles, np.array(weights), 2 * n)
+    gq = prob.c.c - mom[0, : n + 1]
+    gp = mom[2, 1 : n + 1] - prob.m.m - lam * mom[-1, 1 : n + 1]
+    return (gq, gp), mom
+
+
+def joint_value(prob: JointProblem, p, q) -> float:
+    """Regularized objective at grid-positive symbols p, q with p_0 = 1."""
+    return _joint_objective(prob, _params(p, q), _samples(prob, p, q))
 
 
 def joint_gradient(prob: JointProblem, p, q) -> tuple[np.ndarray, np.ndarray]:
@@ -148,11 +162,7 @@ def joint_gradient(prob: JointProblem, p, q) -> tuple[np.ndarray, np.ndarray]:
     g_q[k] = c_k - integrate(P/Q, k); g_p[k] = integrate(log(P/Q), k) - m_k
     minus the regularization moments lambda * integrate(1/P, k).
     """
-    pv, qv = _samples(prob, p, q)
-    ratio, log_ratio, inv_p = moment_vector(
-        prob.grid.angles, np.stack([pv / qv, np.log(pv / qv), 1.0 / pv]), prob.n
-    )
-    return prob.c.c - ratio, log_ratio[1:] - prob.m.m - prob.regularization * inv_p[1:]
+    return _joint_derivatives(prob, _samples(prob, p, q))[0]
 
 
 def joint_hessian(prob: JointProblem, p, q) -> np.ndarray:
@@ -163,46 +173,24 @@ def joint_hessian(prob: JointProblem, p, q) -> np.ndarray:
     PP[k,l] = integrate(1/P, k-l) plus lambda * integrate(1/P^2, k-l).
     Each block is Toeplitz.
     """
-    pv, qv = _samples(prob, p, q)
-    lam = prob.regularization
-    pp_w = 1.0 / pv + (lam / pv**2 if lam else 0.0)
-    mom = moment_vector(prob.grid.angles, np.stack([pv / qv**2, 1.0 / qv, pp_w]), prob.n)
-    qq, inv_q, pp = (hermitian_toeplitz(h) for h in mom)
-    top = np.hstack([qq, -inv_q[:, 1:]])
-    bottom = np.hstack([-inv_q[1:, :], pp[1:, 1:]])
-    return np.vstack([top, bottom])
-
-
-def _moments(angles, pv, qv, lam, n):
-    """Moments to lag 2n of every weight one Newton step needs, in one transform.
-
-    Rows: P/Q, P/Q^2, log(P/Q), 1/Q, 1/P + lambda/P^2 and, for lambda > 0,
-    1/P; so the last row holds the moments of 1/P at every lambda.
-    """
-    weights = [pv / qv, pv / qv**2, np.log(pv / qv), 1.0 / qv, 1.0 / pv + lam / pv**2]
-    if lam:
-        weights.append(1.0 / pv)
-    return moment_vector(angles, np.array(weights), 2 * n)
+    _, mom = _joint_derivatives(prob, _samples(prob, p, q))
+    return _hessian_blocks(*(hermitian_toeplitz(h) for h in mom[[1, 3, 4], : prob.n + 1]))
 
 
 def _real_hessian(mom):
-    """Real Hessian in (q_0, Re q_k, Im q_k, Re p_k, Im p_k) from `_moments` rows."""
-    qq, inv_q, pp = trig_gram(mom[[1, 3, 4]])
-    size = qq.shape[0]    # 2n+1 parameters of Q, then the 2n free ones of P
-    H = np.empty((2 * size - 1, 2 * size - 1))
+    """Real Hessian in (q_0, Re q_k, Im q_k, Re p_k, Im p_k) from `_joint_derivatives` moments."""
+    return _hessian_blocks(*trig_gram(mom[[1, 3, 4]]))
+
+
+def _hessian_blocks(qq, inv_q, pp):
+    """[[QQ, QP], [QP*, PP]] with QP = -inv_q; P loses its pinned constant direction."""
+    size = qq.shape[0]
+    H = np.empty((2 * size - 1, 2 * size - 1), dtype=qq.dtype)
     H[:size, :size] = qq
     H[:size, size:] = -inv_q[:, 1:]
     H[size:, :size] = -inv_q[1:, :]
     H[size:, size:] = pp[1:, 1:]
     return H
-
-
-def _real_grad(gq, gp):
-    parts = [np.array([gq[0].real])]
-    if gq.size > 1:
-        parts += [2.0 * gq[1:].real, 2.0 * gq[1:].imag]
-    parts += [2.0 * gp.real, 2.0 * gp.imag]
-    return np.concatenate(parts)
 
 
 def joint_solve(
@@ -221,140 +209,65 @@ def joint_solve(
     """
     opts = opts or SolverOptions()
     grid, n = prob.grid, prob.n
-    angles = grid.angles
     lam = prob.regularization
-    B = trig_basis(angles, n)
+    size = 2 * n + 1
+    B = trig_basis(grid.angles, n)
     Bp = B[1:]
     scale = max(1.0, prob.c.sup_norm(), float(np.max(np.abs(prob.m.m), initial=0.0)))
 
     if initial is not None:
-        p0, q0 = initial
-        _samples(prob, p0, q0)    # degree, normalization and positivity checks
-        vq = coeffs_to_real(q0.coeffs)
-        vp = coeffs_to_real(p0.coeffs)[1:]
+        _samples(prob, *initial)    # degree, normalization and positivity checks
+        u = _params(*initial)
     else:
         # P = 1 flat, Q from plain covariance matching: a strictly interior
         # pair whose Hessian is nonsingular even without regularization
         base = maxent_solve(prob.c, grid, SolverOptions(grad_tol=1e-8))
-        vq = coeffs_to_real(base.q.coeffs)
-        vp = np.zeros(2 * n)
+        u = np.concatenate([coeffs_to_real(base.q.coeffs), np.zeros(2 * n)])
 
-    def node_values(u):
-        return 1.0 + u[2 * n + 1 :] @ Bp, u[: 2 * n + 1] @ B
-
-    def objective(u, pv, qv):
-        value = _pair(prob.c.c, real_to_coeffs(u[: 2 * n + 1]))
-        p_real = np.concatenate(([1.0], u[2 * n + 1 :]))
-        value -= _pair(prob.m.with_zero(), real_to_coeffs(p_real))
-        value += float(np.mean(pv * np.log(pv / qv)))
-        if lam:
-            value -= lam * float(np.mean(np.log(pv)))
-        return value
-
-    def gradient(mom):
-        gq = prob.c.c - mom[0, : n + 1]
-        gp = mom[2, 1 : n + 1] - prob.m.m - lam * mom[-1, 1 : n + 1]
-        return gq, gp
-
-    def residual_of(gq, gp):
-        return max(float(np.max(np.abs(gq))), float(np.max(np.abs(gp))))
-
-    u = np.concatenate([vq, vp])
-    pv, qv = node_values(u)
-    if min(pv.min(), qv.min()) <= opts.boundary_floor:
-        raise ValueError("initial symbols are not interior on this grid")
-    current = objective(u, pv, qv)
-    trace: list[IterationRecord] = []
-    for iteration in range(opts.max_iter + 1):
-        mom = _moments(angles, pv, qv, lam, n)
-        gq, gp = gradient(mom)
-        cov_res = float(np.max(np.abs(gq)))
-        cep_res = float(np.max(np.abs(gp)))
-        residual = max(cov_res, cep_res)
-        if residual <= opts.grad_tol * scale:
-            q = SymmetricPseudoPolynomial(real_to_coeffs(u[: 2 * n + 1]))
-            p = SymmetricPseudoPolynomial(
-                real_to_coeffs(np.concatenate(([1.0], u[2 * n + 1 :])))
-            )
-            epsilon = lam * mom[-1, 1 : n + 1] if lam else None
-            floor = BOUNDARY_DETECT_TOL * max(1.0, float(pv.max()))
-            return JointReport(
-                p=p,
-                q=q,
-                phi=SpectrumSamples(grid, pv / qv),
-                epsilon=epsilon,
-                iterations=iteration,
-                covariance_residual=cov_res,
-                cepstral_residual=cep_res,
-                boundary_flag=(lam == 0.0 and float(pv.min()) <= floor),
-                trace=trace,
-                grid=grid,
-                c=prob.c,
-                m=prob.m,
-                regularization=lam,
-            )
-        if iteration == opts.max_iter:
-            break
-        H = _real_hessian(mom)
-        hess_min = float(np.linalg.eigvalsh(H)[0])
-        g = _real_grad(gq, gp)
-        step = np.linalg.solve(H, -g)
-        slack = DESCENT_SLACK * (1.0 + abs(current))
-        # same rule as newton_solve: when the decrement is below the rounding
-        # of the objective, a full interior step counts if it lowers the residual
-        flat = -float(g @ step) <= FLAT_DECREMENT * (1.0 + abs(current))
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            u_new = u + t * step
-            pv_new, qv_new = node_values(u_new)
-            if min(pv_new.min(), qv_new.min()) > opts.boundary_floor:
-                candidate = objective(u_new, pv_new, qv_new)
-                if candidate <= current + slack:
-                    break
-                if flat and t == 1.0:
-                    moved = gradient(_moments(angles, pv_new, qv_new, lam, n))
-                    if residual_of(*moved) < residual:
-                        break
-            t *= opts.backtrack_ratio
-        else:
-            hint = ""
-            if lam == 0.0:
-                hint = (
-                    "; the unregularized problem may need a spectral zero, "
-                    "retry with regularization > 0"
-                )
+    hint = "" if lam else (
+        "; the unregularized problem may need a spectral zero, "
+        "retry with regularization > 0"
+    )
+    try:
+        u, s, (gq, gp), mom, iterations, trace = _damped_newton(
+            u,
+            lambda w: np.array((1.0 + w[size:] @ Bp, w[:size] @ B)),
+            functools.partial(_joint_objective, prob),
+            functools.partial(_joint_derivatives, prob),
+            _real_hessian,
+            opts,
+            scale,
+            hint,
+        )
+    except MaxIterationsError as exc:
+        pv = exc.samples[0]
+        if lam == 0.0 and pv.min() < 1e-3 * max(1.0, pv.max()):
+            # Stalling with a collapsing numerator is the boundary phenomenon of the
+            # unregularized problem, not a generic iteration budget issue.
             raise BoundaryCollapseError(
-                f"backtracking stalled at iteration {iteration} with residual "
-                f"{residual:.3e} and min samples (P {pv.min():.3e}, Q {qv.min():.3e})"
-                + hint,
-                iteration,
-                residual,
-                float(min(pv.min(), qv.min())),
-            )
-        u, pv, qv, current = u_new, pv_new, qv_new, candidate
-        trace.append(
-            IterationRecord(
-                objective=current,
-                grad_norm=residual,
-                step_size=t,
-                min_q_sample=float(min(pv.min(), qv.min())),
-                hessian_min_eig=hess_min,
-            )
-        )
-    if lam == 0.0 and pv.min() < 1e-3 * max(1.0, pv.max()):
-        # Stalling with a collapsing numerator is the boundary phenomenon of the
-        # unregularized problem, not a generic iteration budget issue.
-        raise BoundaryCollapseError(
-            f"no convergence after {opts.max_iter} iterations, residual "
-            f"{residual:.3e}; the numerator is approaching the boundary, which "
-            "exact cepstral matching may require -- retry with "
-            "regularization > 0",
-            opts.max_iter,
-            residual,
-            float(pv.min()),
-        )
-    raise MaxIterationsError(
-        f"no convergence after {opts.max_iter} iterations, residual {residual:.3e}"
+                f"{exc}; the numerator is approaching the boundary, which exact "
+                "cepstral matching may require -- retry with regularization > 0",
+                opts.max_iter,
+                exc.residual,
+                float(pv.min()),
+            ) from exc
+        raise
+    pv, qv = s
+    floor = BOUNDARY_DETECT_TOL * max(1.0, float(pv.max()))
+    return JointReport(
+        p=SymmetricPseudoPolynomial(real_to_coeffs(np.concatenate(([1.0], u[size:])))),
+        q=SymmetricPseudoPolynomial(real_to_coeffs(u[:size])),
+        phi=SpectrumSamples(grid, pv / qv),
+        epsilon=lam * mom[-1, 1 : n + 1] if lam else None,
+        iterations=iterations,
+        covariance_residual=float(np.abs(gq).max()),
+        cepstral_residual=float(np.abs(gp).max()),
+        boundary_flag=(lam == 0.0 and float(pv.min()) <= floor),
+        trace=trace,
+        grid=grid,
+        c=prob.c,
+        m=prob.m,
+        regularization=lam,
     )
 
 

@@ -46,7 +46,9 @@ class SymmetricPseudoPolynomial:
         c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coeffs must be a nonempty 1-d sequence")
-        scale = max(1.0, float(np.max(np.abs(c))))
+        scale = float(np.max(np.abs(c), initial=1.0))    # NaN-propagating, unlike max()
+        if not np.isfinite(scale):
+            raise ValueError(f"coeffs must be finite, got {c!r}")
         if abs(c[0].imag) > REAL_TOL * scale:
             raise ValueError(f"p_0 must be real, got {c[0]!r}")
         c[0] = c[0].real

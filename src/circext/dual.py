@@ -7,26 +7,30 @@ the solver minimizes the strictly convex functional
 
 over denominators Q of degree n that stay positive at every node.  The unique
 interior minimizer matches the lags of P/Q to c exactly.  Optimization runs
-over the 2n+1 real degrees of freedom (q_0, Re q_k, Im q_k); each step solves
-the real symmetric Newton system and backtracks until the iterate is interior
-and the objective has decreased.  Each iteration takes the moments of P/Q and
-P/Q^2 from one FFT, O(N log N), and assembles the Hessian from them in O(n^3).
-Where the Newton decrement is below the rounding of the objective, a full
-interior step that lowers the residual is accepted as well.
+over the 2n+1 real degrees of freedom (q_0, Re q_k, Im q_k) with the damped
+Newton driver `_damped_newton`, which cepstral.joint_solve shares: each step
+solves the real symmetric Newton system and backtracks until the iterate is
+interior and the objective has decreased.  Each iteration takes the moments
+of P/Q and P/Q^2 from one FFT, O(N log N), and assembles the Hessian from
+them in O(n^3).  Where the Newton decrement is below the rounding of the
+objective, a full interior step that lowers the residual is accepted as well.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial, eval_symbol
-from .grid import DiscreteGrid, SpectrumSamples
+from .grid import DiscreteGrid, SpectrumSamples, require_positive
 from .kernels import (
     coeffs_to_real,
     hermitian_toeplitz,
     moment_vector,
+    pairing,
     real_to_coeffs,
     trig_basis,
     trig_gram,
@@ -40,7 +44,12 @@ NONNEG_TOL = 1e-12
 
 
 class MaxIterationsError(RuntimeError):
-    """Newton iteration exhausted its budget before the residual converged."""
+    """Newton iteration exhausted its budget; residual and samples are the last iterate's."""
+
+    def __init__(self, message, residual, samples):
+        super().__init__(message)
+        self.residual = residual
+        self.samples = samples
 
 
 class BoundaryCollapseError(RuntimeError):
@@ -125,37 +134,35 @@ class SolutionReport:
     c: CovarianceSequence
 
 
-def _q_samples(prob, q: SymmetricPseudoPolynomial) -> np.ndarray:
+def _symbol_samples(prob, q: SymmetricPseudoPolynomial, name: str = "denominator") -> np.ndarray:
+    """Positive node samples of a symbol of the problem degree."""
     if q.degree != prob.n:
-        raise ValueError(f"denominator degree {q.degree} differs from lag count {prob.n}")
-    vals = eval_symbol(q, prob.grid).real_values()
-    bad = np.nonzero(vals <= 0.0)[0]
-    if bad.size:
-        j = int(prob.grid.indices[bad[0]])
-        raise ValueError(f"denominator sample at node j={j} is {vals[bad[0]]!r}, not positive")
-    return vals
+        raise ValueError(f"{name} degree {q.degree} differs from the problem degree {prob.n}")
+    return require_positive(prob.grid, eval_symbol(q, prob.grid).real_values(), name)
 
 
-def _pairing(c_arr: np.ndarray, coeffs: np.ndarray) -> float:
-    # sum_{k=-n}^n c_k conj(q_k) for hermitian sequences, a real number
-    value = (c_arr[0] * np.conj(coeffs[0])).real
-    if c_arr.size > 1:
-        value += 2.0 * np.sum((c_arr[1:] * np.conj(coeffs[1:])).real)
-    return float(value)
+def _dual_objective(prob: DualProblem, v: np.ndarray, qv: np.ndarray) -> float:
+    """<C,Q> - integral P log Q dnu at real parameters v with node samples qv."""
+    pv = prob.p_samples.values.real
+    return pairing(prob.c.c, real_to_coeffs(v)) - float(np.mean(pv * np.log(qv)))
+
+
+def _dual_derivatives(prob: DualProblem, qv: np.ndarray):
+    """Gradient block c_k - integrate(P/Q, k), k <= n, and the P/Q^2 moments to lag 2n."""
+    n, pv = prob.n, prob.p_samples.values.real
+    mom = moment_vector(prob.grid.angles, np.array([pv / qv, pv / qv**2]), 2 * n)
+    return (prob.c.c - mom[0, : n + 1],), mom[1]
 
 
 def dual_value(prob: DualProblem, q: SymmetricPseudoPolynomial) -> float:
     """Objective <C,Q> - integral P log Q dnu at a grid-positive Q."""
-    qv = _q_samples(prob, q)
-    pv = prob.p_samples.values.real
-    return _pairing(prob.c.c, q.coeffs) - float(np.mean(pv * np.log(qv)))
+    return _dual_objective(prob, coeffs_to_real(q.coeffs), _symbol_samples(prob, q))
 
 
 def dual_gradient(prob: DualProblem, q: SymmetricPseudoPolynomial) -> np.ndarray:
     """Components c_k - integrate(P/Q, k) for k = 0 ... n."""
-    qv = _q_samples(prob, q)
-    pv = prob.p_samples.values.real
-    return prob.c.c - moment_vector(prob.grid.angles, pv / qv, prob.n)
+    (gc,), _ = _dual_derivatives(prob, _symbol_samples(prob, q))
+    return gc
 
 
 def dual_hessian(prob: DualProblem, q: SymmetricPseudoPolynomial) -> np.ndarray:
@@ -164,16 +171,89 @@ def dual_hessian(prob: DualProblem, q: SymmetricPseudoPolynomial) -> np.ndarray:
     Positive definite at every interior point: the quadratic form is the node
     integral of |a(zeta)|^2 P/Q^2.
     """
-    qv = _q_samples(prob, q)
-    pv = prob.p_samples.values.real
-    return hermitian_toeplitz(moment_vector(prob.grid.angles, pv / qv**2, prob.n))
+    _, h = _dual_derivatives(prob, _symbol_samples(prob, q))
+    return hermitian_toeplitz(h[: prob.n + 1])
 
 
-def _real_gradient(gc: np.ndarray) -> np.ndarray:
-    # gradient with respect to (q_0, Re q_k, Im q_k); q_0 block stays scalar
-    if gc.size == 1:
-        return np.array([gc[0].real])
-    return np.concatenate(([gc[0].real], 2.0 * gc[1:].real, 2.0 * gc[1:].imag))
+def _real_gradient(gq: np.ndarray, gp: np.ndarray | None = None) -> np.ndarray:
+    """Gradient in (q_0, Re q_k, Im q_k[, Re p_k, Im p_k]); gp holds p_k for k >= 1 only."""
+    parts = [gq[:1].real, 2.0 * gq[1:].real, 2.0 * gq[1:].imag]
+    if gp is not None:
+        parts += [2.0 * gp.real, 2.0 * gp.imag]
+    return np.concatenate(parts)
+
+
+def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hint):
+    """Minimize objective(v, s) over real parameters v with node samples s = samples(v).
+
+    The samples must stay above opts.boundary_floor.  derivatives(s) gives the
+    complex gradient blocks (see _real_gradient) and the moments that
+    hessian(moments) turns into the real Hessian.  Returns (v, s, blocks,
+    moments, iterations, trace) once every gradient component is at most
+    opts.grad_tol * scale; hint ends the BoundaryCollapseError message.
+    """
+    s = samples(v)
+    if s.min() <= opts.boundary_floor:
+        raise ValueError("the initial point is not interior on this grid")
+    current = objective(v, s)
+    trace: list[IterationRecord] = []
+    for iteration in range(opts.max_iter + 1):
+        blocks, mom = derivatives(s)
+        residual = _residual(blocks)
+        if residual <= opts.grad_tol * scale:
+            return v, s, blocks, mom, iteration, trace
+        if iteration == opts.max_iter:
+            break
+        H = hessian(mom)
+        hess_min = float(np.linalg.eigvalsh(H)[0])
+        g = _real_gradient(*blocks)
+        step = np.linalg.solve(H, -g)
+        slack = DESCENT_SLACK * (1.0 + abs(current))
+        # below the rounding of the objective the decrease test cannot see
+        # progress, so a full step then counts if it lowers the residual
+        flat = -float(g @ step) <= FLAT_DECREMENT * (1.0 + abs(current))
+        t = 1.0
+        for _ in range(MAX_BACKTRACKS):
+            v_new = v + t * step
+            s_new = samples(v_new)
+            if s_new.min() > opts.boundary_floor:
+                candidate = objective(v_new, s_new)
+                if candidate <= current + slack:
+                    break
+                if flat and t == 1.0 and _residual(derivatives(s_new)[0]) < residual:
+                    break
+            t *= opts.backtrack_ratio
+        else:
+            raise BoundaryCollapseError(
+                f"backtracking stalled at iteration {iteration} with residual "
+                f"{residual:.3e} and min sample {s.min():.3e}" + hint,
+                iteration,
+                residual,
+                float(s.min()),
+            )
+        v, s, current = v_new, s_new, candidate
+        trace.append(
+            IterationRecord(
+                objective=current,
+                grad_norm=residual,
+                step_size=t,
+                min_q_sample=float(s.min()),
+                hessian_min_eig=hess_min,
+            )
+        )
+    raise MaxIterationsError(
+        f"no convergence after {opts.max_iter} iterations, residual {residual:.3e}",
+        residual,
+        s,
+    )
+
+
+def _residual(blocks) -> float:
+    """Largest gradient component; a non-finite one, which max() could drop, raises."""
+    norms = [float(np.abs(g).max()) for g in blocks]
+    if not all(map(math.isfinite, norms)):
+        raise ValueError(f"non-finite gradient residual: block norms {norms}")
+    return max(norms)
 
 
 def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> SolutionReport:
@@ -185,11 +265,7 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     """
     opts = opts or SolverOptions()
     grid, n = prob.grid, prob.n
-    angles = grid.angles
     pv = prob.p_samples.values.real
-    scale = max(1.0, prob.c.sup_norm())
-    B = trig_basis(angles, n)
-
     if opts.initial_q is not None:
         q0 = opts.initial_q
         if q0.degree > n:
@@ -200,82 +276,29 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     else:
         v = np.zeros(2 * n + 1)
         v[0] = float(np.mean(pv)) / prob.c.c[0].real
-    qv = v @ B
-    if qv.min() <= opts.boundary_floor:
-        raise ValueError("initial denominator is not interior on this grid")
-
-    def objective(qvals, vvec):
-        return _pairing(prob.c.c, real_to_coeffs(vvec)) - float(np.mean(pv * np.log(qvals)))
-
-    def residual_at(qvals):
-        return float(np.max(np.abs(prob.c.c - moment_vector(angles, pv / qvals, n))))
-
-    trace: list[IterationRecord] = []
-    current = objective(qv, v)
-    for iteration in range(opts.max_iter + 1):
-        # one transform per iteration: P/Q for the gradient, P/Q^2 for the Hessian
-        ratio = pv / qv
-        mom = moment_vector(angles, np.array([ratio, pv / qv**2]), 2 * n)
-        gc = prob.c.c - mom[0, : n + 1]
-        residual = float(np.max(np.abs(gc)))
-        if residual <= opts.grad_tol * scale:
-            q = SymmetricPseudoPolynomial(real_to_coeffs(v))
-            phi = SpectrumSamples(grid, ratio)
-            extended = moment_vector(angles, ratio, grid.N)
-            return SolutionReport(
-                q=q,
-                p=prob.p,
-                phi=phi,
-                extended_c=extended,
-                iterations=iteration,
-                residual=residual,
-                trace=trace,
-                grid=grid,
-                c=prob.c,
-            )
-        if iteration == opts.max_iter:
-            break
-        H = trig_gram(mom[1])
-        hess_min = float(np.linalg.eigvalsh(H)[0])
-        g = _real_gradient(gc)
-        step = np.linalg.solve(H, -g)
-        slack = DESCENT_SLACK * (1.0 + abs(current))
-        # below the rounding of the objective the decrease test cannot see
-        # progress, so a full step then counts if it lowers the residual
-        flat = -float(g @ step) <= FLAT_DECREMENT * (1.0 + abs(current))
-        t = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            v_new = v + t * step
-            qv_new = v_new @ B
-            if qv_new.min() > opts.boundary_floor:
-                candidate = objective(qv_new, v_new)
-                if candidate <= current + slack:
-                    break
-                if flat and t == 1.0 and residual_at(qv_new) < residual:
-                    break
-            t *= opts.backtrack_ratio
-        else:
-            raise BoundaryCollapseError(
-                f"backtracking stalled at iteration {iteration} with residual "
-                f"{residual:.3e} and min denominator sample {qv.min():.3e}; "
-                "the lags are likely infeasible on this grid "
-                "(feasibility_certificate gives the exact answer)",
-                iteration,
-                residual,
-                float(qv.min()),
-            )
-        v, qv, current = v_new, qv_new, candidate
-        trace.append(
-            IterationRecord(
-                objective=current,
-                grad_norm=residual,
-                step_size=t,
-                min_q_sample=float(qv.min()),
-                hessian_min_eig=hess_min,
-            )
-        )
-    raise MaxIterationsError(
-        f"no convergence after {opts.max_iter} iterations, residual {residual:.3e}"
+    B = trig_basis(grid.angles, n)
+    v, qv, (gc,), _, iterations, trace = _damped_newton(
+        v,
+        lambda w: w @ B,
+        functools.partial(_dual_objective, prob),
+        functools.partial(_dual_derivatives, prob),
+        trig_gram,
+        opts,
+        max(1.0, prob.c.sup_norm()),
+        "; the lags are likely infeasible on this grid "
+        "(feasibility_certificate gives the exact answer)",
+    )
+    ratio = pv / qv
+    return SolutionReport(
+        q=SymmetricPseudoPolynomial(real_to_coeffs(v)),
+        p=prob.p,
+        phi=SpectrumSamples(grid, ratio),
+        extended_c=moment_vector(grid.angles, ratio, grid.N),
+        iterations=iterations,
+        residual=float(np.abs(gc).max()),
+        trace=trace,
+        grid=grid,
+        c=prob.c,
     )
 
 

@@ -74,6 +74,15 @@ class DiscreteGrid:
         return k + self.N - 1
 
 
+def require_positive(grid: DiscreteGrid, values: np.ndarray, name: str) -> np.ndarray:
+    """Return the real node values, or raise naming the first node where one is <= 0."""
+    bad = np.nonzero(values <= 0.0)[0]
+    if bad.size:
+        j = int(grid.indices[bad[0]])
+        raise ValueError(f"{name} sample at node j={j} is {values[bad[0]]!r}, not positive")
+    return values
+
+
 def _as_complex_values(grid, values):
     arr = np.asarray(values, dtype=complex)
     if arr.shape != (grid.size,):

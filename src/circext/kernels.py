@@ -50,6 +50,14 @@ def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarr
     return np.fft.ifft(values, axis=-1)[..., lags % size] * shift
 
 
+def pairing(seq: np.ndarray, coeffs: np.ndarray) -> float:
+    """Real sum_{k=-n}^{n} seq_k conj(coeffs_k) of hermitian sequences stored for k >= 0."""
+    value = (seq[0] * np.conj(coeffs[0])).real
+    if seq.size > 1:
+        value += 2.0 * np.sum((seq[1:] * np.conj(coeffs[1:])).real)
+    return float(value)
+
+
 def hermitian_toeplitz(h: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix T[k, l] = h_{k-l} with h_{-k} = conj(h_k)."""
     h = np.asarray(h, dtype=complex)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial
-from .grid import DiscreteGrid, SpectrumSamples
-from .kernels import hermitian_toeplitz, moment_vector
+from .grid import DiscreteGrid, SpectrumSamples, require_positive
+from .kernels import hermitian_toeplitz, moment_vector, pairing
 from .simplex import simplex_maximize
 
 REAL_TOL = 1e-12
@@ -31,7 +31,9 @@ class CovarianceSequence:
         arr = np.atleast_1d(np.asarray(self.c, dtype=complex))
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("c must be a nonempty 1-d sequence")
-        scale = max(1.0, float(np.max(np.abs(arr))))
+        scale = float(np.max(np.abs(arr), initial=1.0))    # NaN-propagating, unlike max()
+        if not np.isfinite(scale):
+            raise ValueError(f"c must be finite, got {arr!r}")
         if abs(arr[0].imag) > REAL_TOL * scale:
             raise ValueError(f"c_0 must be real, got {arr[0]!r}")
         if arr[0].real <= 0.0:
@@ -57,6 +59,8 @@ class CepstralSequence:
         arr = np.asarray(self.m, dtype=complex).reshape(-1)
         if arr.size == 0:
             raise ValueError("cepstral sequence needs at least m_1")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"m must be finite, got {arr!r}")
         self.m = arr
 
     @property
@@ -89,11 +93,7 @@ def covariance_moments(phi: SpectrumSamples, n: int) -> CovarianceSequence:
     grid = phi.grid
     if not 0 <= n < grid.N:
         raise ValueError(f"lag count n={n} must satisfy 0 <= n < N={grid.N}")
-    vals = phi.real_values()
-    bad = np.nonzero(vals <= 0.0)[0]
-    if bad.size:
-        j = int(grid.indices[bad[0]])
-        raise ValueError(f"spectrum sample at node j={j} is {vals[bad[0]]!r}, not positive")
+    vals = require_positive(grid, phi.real_values(), "spectrum")
     c = moment_vector(grid.angles, vals, n)
     return CovarianceSequence(c)
 
@@ -103,11 +103,7 @@ def cepstral_moments(phi: SpectrumSamples, n: int) -> CepstralSequence:
     grid = phi.grid
     if not 0 <= n < grid.N:
         raise ValueError(f"lag count n={n} must satisfy 0 <= n < N={grid.N}")
-    vals = phi.real_values()
-    bad = np.nonzero(vals <= 0.0)[0]
-    if bad.size:
-        j = int(grid.indices[bad[0]])
-        raise ValueError(f"spectrum sample at node j={j} is {vals[bad[0]]!r}, not positive")
+    vals = require_positive(grid, phi.real_values(), "spectrum")
     m = moment_vector(grid.angles, np.log(vals), n)
     return CepstralSequence(m[1:])
 
@@ -119,10 +115,7 @@ def inner_product(c: CovarianceSequence, p: SymmetricPseudoPolynomial) -> float:
     pp = np.zeros(n + 1, dtype=complex)
     cc[: c.n + 1] = c.c
     pp[: p.degree + 1] = p.coeffs
-    value = (cc[0] * np.conj(pp[0])).real
-    if n > 0:
-        value += 2.0 * np.sum((cc[1:] * np.conj(pp[1:])).real)
-    return float(value)
+    return pairing(cc, pp)
 
 
 @dataclass

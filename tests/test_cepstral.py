@@ -373,6 +373,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             JointProblem(grid, CovarianceSequence([1.0]), CepstralSequence([0.0]))
 
+    def test_non_finite_cepstra_are_refused(self):
+        # a NaN target once gave a converged report: max(cov_res, nan) drops the NaN
+        with pytest.raises(ValueError, match="must be finite"):
+            CepstralSequence([np.nan])
+        m = CepstralSequence([0.0])
+        m.m = np.array([np.nan], dtype=complex)    # past the constructor check
+        prob = JointProblem(DiscreteGrid(8), CovarianceSequence([1.0, 0.3]), m)
+        with pytest.raises(ValueError, match="non-finite gradient residual"):
+            joint_solve(prob)
+
     def test_initial_pair_validated(self):
         grid, p0, q0, spectrum, c, m = consistent_instance()
         prob = JointProblem(grid, c, m, regularization=1e-3)

@@ -61,6 +61,11 @@ class TestSymbol:
         with pytest.raises(ValueError):
             SymmetricPseudoPolynomial(np.array([1.0 + 0.5j, 0.2]))
 
+    def test_coefficients_must_be_finite(self):
+        for coeffs in ([np.nan], [1.0, np.inf], [1.0, complex(0.1, np.nan)]):
+            with pytest.raises(ValueError, match="must be finite"):
+                SymmetricPseudoPolynomial(np.array(coeffs))
+
     def test_eval_matches_loop(self):
         rng = make_rng(31)
         grid = DiscreteGrid(6)

@@ -373,6 +373,15 @@ class TestFailureModes:
         assert err.min_sample > 0.0
         assert "feasibility_certificate" in str(err)
 
+    def test_non_finite_lags_are_refused(self):
+        # NaN lags once ended in BoundaryCollapseError, blaming infeasibility
+        with pytest.raises(ValueError, match="must be finite"):
+            CovarianceSequence([1.0, np.nan])
+        c = CovarianceSequence([1.0, 0.3])
+        c.c = np.array([1.0, np.nan], dtype=complex)    # past the constructor check
+        with pytest.raises(ValueError, match="non-finite gradient residual"):
+            maxent_solve(c, DiscreteGrid(8))
+
     def test_iteration_budget(self):
         grid = DiscreteGrid(8)
         c = CovarianceSequence([1.0, 0.3 + 0.1j])

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from circext import DiscreteGrid, SymmetricPseudoPolynomial, eval_symbol
-from circext.cepstral import _moments, _real_hessian
+from circext import (
+    CepstralSequence,
+    CovarianceSequence,
+    DiscreteGrid,
+    JointProblem,
+    SymmetricPseudoPolynomial,
+    eval_symbol,
+)
+from circext.cepstral import _joint_derivatives, _real_hessian
 from circext.kernels import hermitian_toeplitz, moment_vector, trig_basis, trig_gram
 
 from conftest import make_rng, random_positive_symbol
@@ -33,6 +40,12 @@ def random_values(rng, size, complex_values):
 def dense_gram(angles, weight, n):
     B = trig_basis(angles, n)
     return (B * weight) @ B.T / angles.size
+
+
+def joint_moments(grid, pv, qv, lam, n):
+    """The moment rows joint_solve transforms at node samples (P, Q); the targets do not enter."""
+    prob = JointProblem(grid, CovarianceSequence(np.ones(n + 1)), CepstralSequence(np.zeros(n)), lam)
+    return _joint_derivatives(prob, np.array((pv, qv)))[1]
 
 
 def rel_err(got, ref):
@@ -120,7 +133,7 @@ class TestMomentBuiltHessians:
         p = SymmetricPseudoPolynomial(np.concatenate(([1.0], 0.3 * tail / np.abs(tail).sum())))
         pv = eval_symbol(p, grid).real_values()
         qv = eval_symbol(random_positive_symbol(rng, n, grid), grid).real_values()
-        H = _real_hessian(_moments(grid.angles, pv, qv, lam, n))
+        H = _real_hessian(joint_moments(grid, pv, qv, lam, n))
         B = trig_basis(grid.angles, n)
         Bp = B[1:]
         qq = (B * (pv / qv**2)) @ B.T / grid.size
@@ -137,7 +150,7 @@ class TestMomentBuiltHessians:
         pv = 1.0 + 0.5 * rng.random(grid.size)
         qv = 1.0 + 0.5 * rng.random(grid.size)
         for lam in (0.0, 0.1):
-            mom = _moments(grid.angles, pv, qv, lam, 2)
+            mom = joint_moments(grid, pv, qv, lam, 2)
             np.testing.assert_allclose(
                 mom[-1], moment_vector(grid.angles, 1.0 / pv, 4), rtol=0, atol=1e-15
             )

@@ -265,6 +265,11 @@ class TestCertificate:
 
     @pytest.mark.parametrize("lags", [[np.nan, 0.3], [1.0, np.nan], [np.inf, 0.3]])
     def test_non_finite_margin_is_refused(self, lags):
-        c = CovarianceSequence(np.array(lags, dtype=complex))
+        with pytest.raises(ValueError, match="must be finite"):
+            CovarianceSequence(np.array(lags, dtype=complex))
+        # the constructor refuses such lags; set them afterwards to reach the
+        # certificate's own check
+        c = CovarianceSequence([1.0, 0.3])
+        c.c = np.array(lags, dtype=complex)
         with pytest.raises(ValueError, match="non-finite|must be finite"):
             feasibility_certificate(c, DiscreteGrid(8))
