@@ -378,10 +378,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return HANDLERS[args.command](args)
-    except (NotInOuterCone, ThresholdNotFound) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (BoundaryCollapseError, MaxIterationsError) as exc:
+    except (NotInOuterCone, ThresholdNotFound, BoundaryCollapseError, MaxIterationsError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except RuntimeError as exc:

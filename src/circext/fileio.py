@@ -79,14 +79,18 @@ def dump_json(obj: dict, path: str) -> None:
 
 
 def load_json(path: str) -> dict:
-    """Parse a JSON object, refusing the non-standard NaN and Infinity tokens."""
+    """Parse a JSON object, refusing NaN, Infinity and literals that overflow to infinity."""
 
     def refuse(token):
         raise InputFormatError(f"{path}: non-finite number {token} is not allowed")
 
+    def finite(literal):
+        value = float(literal)
+        return value if np.isfinite(value) else refuse(literal)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_constant=refuse)
+            data = json.load(fh, parse_constant=refuse, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):

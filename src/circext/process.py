@@ -4,7 +4,9 @@ A spectrum Phi on the grid defines a stationary Gaussian process on the 2N
 cyclic time points whose covariance circulant has symbol Phi.  Draws are made
 in the spectral domain, where the transform coordinates are independent with
 variance 2N Phi_j, and mapped back by the inverse transform; the resulting
-realizations carry the target covariance exactly, not asymptotically.
+realizations carry the target covariance exactly, not asymptotically.  An
+ensemble is a (count, 2N) array with one realization per row; draws and
+estimates are made on all rows at once, one batched transform per step.
 
 Uniform variates come from numpy's default generator and are mapped to
 normals by an explicit Box-Muller step.  Keeping the normal transform in the
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DiscreteGrid, Signal, SpectrumSamples, dft, idft, is_hermitian_even
+from .grid import DiscreteGrid, SpectrumSamples, _transform, is_hermitian_even, require_positive
 from .kernels import moment_vector
 from .moments import CepstralSequence, CovarianceSequence
 
@@ -24,44 +26,33 @@ MIN_SMOOTHING_COUNT = 8
 REAL_TOL = 1e-10
 
 
-def _standard_normals(rng, size):
-    # Box-Muller on (1-u) in (0,1]; two independent streams per row
-    u = rng.random((size, 2))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    return radius * np.cos(2.0 * np.pi * u[:, 1]), radius * np.sin(2.0 * np.pi * u[:, 1])
-
-
-def _check_spectrum(phi: SpectrumSamples) -> np.ndarray:
-    vals = phi.real_values()
-    bad = np.nonzero(vals < 0.0)[0]
-    if bad.size:
-        j = int(phi.grid.indices[bad[0]])
-        raise ValueError(f"spectrum sample at node j={j} is {vals[bad[0]]!r}, negative")
-    return vals
+def _standard_normals(rng, shape):
+    # Box-Muller on (1-u) in (0,1]; two independent streams per entry
+    u = rng.random(shape + (2,))
+    radius = np.sqrt(-2.0 * np.log1p(-u[..., 0]))
+    return radius * np.cos(2.0 * np.pi * u[..., 1]), radius * np.sin(2.0 * np.pi * u[..., 1])
 
 
 def _spectral_draws(phi: SpectrumSamples, count, rng, real_valued):
-    """Independent transform-domain draws with E|yhat_j|^2 = 2N Phi_j."""
+    """Independent transform-domain draws with E|yhat_j|^2 = 2N Phi_j, shape (count, 2N)."""
     grid = phi.grid
-    vals = _check_spectrum(phi)
+    vals = phi.real_values()
+    bad = np.nonzero(vals < 0.0)[0]
+    if bad.size:
+        j = int(grid.indices[bad[0]])
+        raise ValueError(f"spectrum sample at node j={j} is {vals[bad[0]]!r}, negative")
     scale = np.sqrt(grid.size * vals)
     if real_valued and not is_hermitian_even(grid, vals, REAL_TOL):
         raise ValueError("a real-valued process needs an even spectrum")
-    out = np.empty((count, grid.size), dtype=complex)
-    half = grid.position(0), grid.position(grid.N)
-    for r in range(count):
-        z1, z2 = _standard_normals(rng, grid.size)
-        if not real_valued:
-            out[r] = scale * (z1 + 1j * z2) / np.sqrt(2.0)
-            continue
-        row = np.empty(grid.size, dtype=complex)
-        for j in range(1, grid.N):
-            pos = grid.position(j)
-            row[pos] = scale[pos] * (z1[pos] + 1j * z2[pos]) / np.sqrt(2.0)
-            row[grid.position(-j)] = np.conj(row[pos])
-        for pos in half:    # self-paired frequencies take real draws
-            row[pos] = scale[pos] * z1[pos]
-        out[r] = row
+    z1, z2 = _standard_normals(rng, (count, grid.size))
+    out = scale * (z1 + 1j * z2) / np.sqrt(2.0)
+    if real_valued:
+        # j = 1 ... N-1 at positions N ... 2N-2 mirror onto -j at 2N-2 ... 0;
+        # the self-paired frequencies j = 0 and j = N take real draws
+        pos = np.arange(grid.N, grid.size - 1)
+        out[:, grid.size - 2 - pos] = np.conj(out[:, pos])
+        half = [grid.position(0), grid.position(grid.N)]
+        out[:, half] = scale[half] * z1[:, half]
     return out
 
 
@@ -79,14 +70,23 @@ def sample_realizations(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    grid = phi.grid
     rng = np.random.default_rng(seed)
-    draws = _spectral_draws(phi, count, rng, real_valued)
-    out = np.empty((count, grid.size), dtype=float if real_valued else complex)
-    for r in range(count):
-        y = idft(SpectrumSamples(grid, draws[r])).values
-        out[r] = y.real if real_valued else y
-    return out
+    y = _transform(_spectral_draws(phi, count, rng, real_valued), inverse=True)
+    return y.real.copy() if real_valued else y
+
+
+def _periodograms(y: np.ndarray, grid: DiscreteGrid) -> np.ndarray:
+    """|transform|^2 / 2N of every row of y."""
+    return np.abs(_transform(y.astype(complex))) ** 2 / grid.size
+
+
+def _ensemble(realizations, grid: DiscreteGrid) -> np.ndarray:
+    y = np.atleast_2d(np.asarray(realizations))
+    if y.shape[0] == 0:
+        raise ValueError("need at least one realization")
+    if y.shape[1] != grid.size:
+        raise ValueError(f"realizations must have {grid.size} time points per row")
+    return y
 
 
 def periodogram(y: np.ndarray, grid: DiscreteGrid) -> SpectrumSamples:
@@ -98,8 +98,7 @@ def periodogram(y: np.ndarray, grid: DiscreteGrid) -> SpectrumSamples:
     y = np.asarray(y)
     if y.shape != (grid.size,):
         raise ValueError(f"expected one realization of shape ({grid.size},)")
-    spec = dft(Signal(grid, y.astype(complex)))
-    vals = np.abs(spec.values) ** 2 / grid.size
+    vals = _periodograms(y, grid)
     return SpectrumSamples(grid, vals, hermitian_even=is_hermitian_even(grid, vals))
 
 
@@ -112,18 +111,11 @@ def estimate_covariances(
     index wrapping.  Raises through CovarianceSequence when the estimate is
     degenerate (for instance all-zero input).
     """
-    y = np.atleast_2d(np.asarray(realizations))
-    if y.shape[0] == 0:
-        raise ValueError("need at least one realization")
-    if y.shape[1] != grid.size:
-        raise ValueError(f"realizations must have {grid.size} time points per row")
+    y = _ensemble(realizations, grid)
     if not 0 <= n <= grid.N:
         raise ValueError(f"need 0 <= n <= N, got n={n}")
-    acc = np.zeros(n + 1, dtype=complex)
-    for row in y:
-        for k in range(n + 1):
-            acc[k] += np.sum(np.roll(row, -k) * np.conj(row)) / grid.size
-    acc /= y.shape[0]
+    # the k-th moment of a periodogram is the cyclic sample covariance at lag k
+    acc = moment_vector(grid.angles, _periodograms(y, grid).mean(axis=0), n)
     return CovarianceSequence(np.concatenate(([acc[0].real], acc[1:])))
 
 
@@ -143,11 +135,7 @@ def estimate_cepstra(
     outright whenever a single periodogram touches zero, so it is kept
     for diagnostics rather than production use.
     """
-    y = np.atleast_2d(np.asarray(realizations))
-    if y.shape[0] == 0:
-        raise ValueError("need at least one realization")
-    if y.shape[1] != grid.size:
-        raise ValueError(f"realizations must have {grid.size} time points per row")
+    y = _ensemble(realizations, grid)
     if not 1 <= n <= grid.N:
         raise ValueError(f"need 1 <= n <= N, got n={n}")
     if smoothing and y.shape[0] < MIN_SMOOTHING_COUNT:
@@ -155,17 +143,13 @@ def estimate_cepstra(
             f"smoothed estimation needs at least {MIN_SMOOTHING_COUNT} "
             f"realizations, got {y.shape[0]}"
         )
-    specs = np.stack([periodogram(row, grid).real_values() for row in y])
+    specs = _periodograms(y, grid)
     if smoothing:
-        mean_spec = specs.mean(axis=0)
-        if mean_spec.min() <= 0.0:
-            raise ValueError("averaged periodogram touches zero; cannot take logs")
-        log_spec = np.log(mean_spec)
-    else:
-        if specs.min() <= 0.0:
-            raise ValueError("a periodogram touches zero; cannot take logs")
-        log_spec = np.log(specs).mean(axis=0)
-    m = moment_vector(grid.angles, log_spec, n)[1:]
+        specs = specs.mean(axis=0, keepdims=True)
+    if specs.min() <= 0.0:
+        which = "averaged periodogram" if smoothing else "a periodogram"
+        raise ValueError(f"{which} touches zero; cannot take logs")
+    m = moment_vector(grid.angles, np.log(specs).mean(axis=0), n)[1:]
     return CepstralSequence(m)
 
 
@@ -180,16 +164,10 @@ def conjugacy_check(phi: SpectrumSamples, count: int, seed: int | None = None) -
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     grid = phi.grid
-    vals = _check_spectrum(phi)
-    if vals.min() <= 0.0:
-        j = int(grid.indices[int(np.argmin(vals))])
-        raise ValueError(f"whitening needs a strictly positive spectrum (node j={j})")
+    vals = require_positive(grid, phi.real_values(), "spectrum")
     rng = np.random.default_rng(seed)
     draws = _spectral_draws(phi, count, rng, real_valued=False)
-    cross = np.zeros((grid.size, grid.size), dtype=complex)
-    for r in range(count):
-        y = idft(SpectrumSamples(grid, draws[r])).values
-        e = idft(SpectrumSamples(grid, draws[r] / vals)).values
-        cross += np.outer(e, np.conj(y))
-    cross /= count
+    y = _transform(draws, inverse=True)
+    e = _transform(draws / vals, inverse=True)
+    cross = e.T @ np.conj(y) / count
     return float(np.max(np.abs(cross - np.eye(grid.size))))

@@ -88,6 +88,18 @@ class TestSolve:
         assert main(["solve", str(broken), "--out", str(tmp_path / "o")]) == 1
         assert main(["solve", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("option", ["max_iter", "grad_tol"])
+    def test_overflowing_option_exits_one(self, tmp_path, capsys, option):
+        # json reads 1e400 as inf without consulting parse_constant
+        problem = tmp_path / "problem.json"
+        problem.write_text(
+            f'{{"version": 1, "N": 8, "c": [1.0, 0.4], "options": {{"{option}": 1e400}}}}'
+        )
+        out = tmp_path / "o"
+        assert main(["maxent", str(problem), "--out", str(out)]) == 1
+        assert "non-finite number 1e400" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_field_warns_on_stderr(self, tmp_path, capsys):
         data = dict(AR1)
         data["author"] = "me"

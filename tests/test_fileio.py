@@ -203,7 +203,7 @@ class TestProblemParsing:
         with pytest.raises(fio.InputFormatError):
             fio.load_problem(str(arr))
 
-    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
     def test_non_finite_numbers_rejected(self, tmp_path, token):
         path = tmp_path / "problem.json"
         path.write_text(f'{{"version": 1, "N": 8, "c": [1.0, [0.3, {token}]]}}')

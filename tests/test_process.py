@@ -13,6 +13,7 @@ from circext import (
     dft,
     estimate_cepstra,
     estimate_covariances,
+    idft,
     integrate,
     maxent_solve,
     periodogram,
@@ -36,7 +37,51 @@ def even_model(N=8):
     return grid, maxent_solve(c, grid)
 
 
+def per_row_realizations(phi, count, seed, real_valued):
+    """Reference sampler: the Box-Muller draws and inverse transform row by row."""
+    grid = phi.grid
+    scale = np.sqrt(grid.size * phi.real_values())
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, grid.size), dtype=float if real_valued else complex)
+    for r in range(count):
+        u = rng.random((grid.size, 2))
+        radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        z1 = radius * np.cos(2.0 * np.pi * u[:, 1])
+        z2 = radius * np.sin(2.0 * np.pi * u[:, 1])
+        if not real_valued:
+            row = scale * (z1 + 1j * z2) / np.sqrt(2.0)
+        else:
+            row = np.empty(grid.size, dtype=complex)
+            for j in range(1, grid.N):
+                pos = grid.position(j)
+                row[pos] = scale[pos] * (z1[pos] + 1j * z2[pos]) / np.sqrt(2.0)
+                row[grid.position(-j)] = np.conj(row[pos])
+            for pos in (grid.position(0), grid.position(grid.N)):
+                row[pos] = scale[pos] * z1[pos]
+        y = idft(SpectrumSamples(grid, row)).values
+        out[r] = y.real if real_valued else y
+    return out
+
+
 class TestSampling:
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("real_valued", [False, True])
+    def test_batched_draws_equal_per_row_draws(self, N, count, real_valued):
+        # the whole ensemble comes from one uniform draw and one transform;
+        # it must reproduce the row-by-row stream bit for bit
+        grid = DiscreteGrid(N)
+        values = 1.0 + 0.5 * np.cos(grid.angles)
+        if not real_valued:
+            values = values + 0.3 * np.sin(grid.angles)
+        phi = SpectrumSamples(grid, values)
+        seed = 1000 * N + count
+        batched = sample_realizations(phi, count, seed=seed, real_valued=real_valued)
+        reference = per_row_realizations(phi, count, seed, real_valued)
+        assert batched.dtype == reference.dtype
+        assert np.array_equal(batched, reference)
+
+
     def test_shapes_and_types(self):
         grid, report = ar_model()
         y = sample_realizations(report.phi, 5, seed=1)
@@ -144,6 +189,20 @@ class TestEstimation:
         assert est.c[0] == pytest.approx(1.0)
         assert est.c[1] == pytest.approx(0.0, abs=1e-15)
         assert est.c[2] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 64])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_covariances_equal_cyclic_lag_averages(self, N, real):
+        # definition: chat_k = mean over rows and t of y(t+k) conj(y(t))
+        rng = make_rng(613 + N)
+        grid = DiscreteGrid(N)
+        y = rng.standard_normal((5, grid.size))
+        if not real:
+            y = y + 1j * rng.standard_normal((5, grid.size))
+        for n in (0, N):
+            est = estimate_covariances(y, grid, n)
+            direct = np.array([np.mean(np.roll(y, -k, axis=1) * np.conj(y)) for k in range(n + 1)])
+            assert np.max(np.abs(est.c - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_lag_count_validation(self):
         grid = DiscreteGrid(4)
