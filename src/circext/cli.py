@@ -5,8 +5,8 @@ Each reads JSON input, writes JSON and CSV results into an output directory
 (--out, else the CIRCEXT_OUT_DIR environment variable, else the current
 directory), and leaves a run.json provenance record.  Exit codes: 0 success,
 1 input error, 2 infeasible input / boundary failure / threshold not found /
-certificate LP over its pivot budget, 3 numerator collapse in unregularized
-cepstral matching.
+certificate LP over its pivot budget or failing its residual check, 3
+numerator collapse in unregularized cepstral matching.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .dual import (
 )
 from . import fileio
 from .fileio import InputFormatError
-from .moments import CovarianceSequence, feasibility_certificate
+from .moments import UNCHECKED_MESSAGE, CovarianceSequence, feasibility_certificate
 from .process import estimate_cepstra, estimate_covariances, sample_realizations
 from .simplex import PIVOT_BUDGET_MESSAGE
 
@@ -83,16 +83,10 @@ def _finish(out, command, input_path, started, outputs, timings=None):
     fileio.dump_json(record, os.path.join(out, "run.json"))
 
 
-def _solve_to_files(prob, opts, out) -> list[str]:
-    report = newton_solve(prob, opts)
-    fileio.dump_json(fileio.solution_to_dict(report), os.path.join(out, "solution.json"))
-    fileio.write_spectrum_csv(os.path.join(out, "spectrum.csv"), report.phi)
-    fileio.write_extended_csv(os.path.join(out, "extended_c.csv"), report.extended_c)
-    print(
-        f"matched {prob.c.n + 1} lags on N={prob.grid.N} in {report.iterations} "
-        f"iterations, residual {report.residual:.3e}"
-    )
-    return ["solution.json", "spectrum.csv", "extended_c.csv"]
+def _certificate_record(cert) -> dict:
+    """Pivot count and a-posteriori residuals of a certificate, for run.json."""
+    names = ("pivots", "lag_residual", "min_dual", "duality_gap")
+    return {"certificate": {name: getattr(cert, name) for name in names}}
 
 
 def run_solve(args, maxent: bool = False) -> int:
@@ -109,9 +103,16 @@ def run_solve(args, maxent: bool = False) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    prob = DualProblem(spec.grid, spec.c, p)
-    outputs = _solve_to_files(prob, _options(spec, args), out)
-    _finish(out, "maxent" if maxent else "solve", args.problem, started, outputs)
+    report = newton_solve(DualProblem(spec.grid, spec.c, p), _options(spec, args))
+    fileio.dump_json(fileio.solution_to_dict(report), os.path.join(out, "solution.json"))
+    fileio.write_spectrum_csv(os.path.join(out, "spectrum.csv"), report.phi)
+    fileio.write_extended_csv(os.path.join(out, "extended_c.csv"), report.extended_c)
+    print(
+        f"matched {spec.c.n + 1} lags on N={spec.grid.N} in {report.iterations} "
+        f"iterations, residual {report.residual:.3e}"
+    )
+    outputs = ["solution.json", "spectrum.csv", "extended_c.csv"]
+    _finish(out, args.command, args.problem, started, outputs, _certificate_record(cert))
     return EXIT_OK
 
 
@@ -301,7 +302,7 @@ def run_check(args) -> int:
         ("feasible" if cert.feasible else "infeasible")
         + f" on N={spec.grid.N}, margin {cert.margin:.6g}"
     )
-    _finish(out, "check", args.problem, started, ["check.json"])
+    _finish(out, "check", args.problem, started, ["check.json"], _certificate_record(cert))
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
@@ -382,7 +383,7 @@ def main(argv=None) -> int:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except RuntimeError as exc:
-        if str(exc) != PIVOT_BUDGET_MESSAGE:
+        if not str(exc).startswith((PIVOT_BUDGET_MESSAGE, UNCHECKED_MESSAGE)):
             raise
         print(f"{type(exc).__name__}: {exc}; the certificate LP is undecided", file=sys.stderr)
         return EXIT_INFEASIBLE

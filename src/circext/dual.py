@@ -190,7 +190,8 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
     complex gradient blocks (see _real_gradient) and the moments that
     hessian(moments) turns into the real Hessian.  Returns (v, s, blocks,
     moments, iterations, trace) once every gradient component is at most
-    opts.grad_tol * scale; hint ends the BoundaryCollapseError message.
+    opts.grad_tol * scale.  A stalled line search or a singular Newton system
+    raises BoundaryCollapseError, whose message hint ends.
     """
     s = samples(v)
     if s.min() <= opts.boundary_floor:
@@ -207,7 +208,10 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
         H = hessian(mom)
         hess_min = float(np.linalg.eigvalsh(H)[0])
         g = _real_gradient(*blocks)
-        step = np.linalg.solve(H, -g)
+        try:
+            step = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            raise _collapse("singular Newton system", iteration, residual, s, hint) from None
         slack = DESCENT_SLACK * (1.0 + abs(current))
         # below the rounding of the objective the decrease test cannot see
         # progress, so a full step then counts if it lowers the residual
@@ -224,13 +228,7 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
                     break
             t *= opts.backtrack_ratio
         else:
-            raise BoundaryCollapseError(
-                f"backtracking stalled at iteration {iteration} with residual "
-                f"{residual:.3e} and min sample {s.min():.3e}" + hint,
-                iteration,
-                residual,
-                float(s.min()),
-            )
+            raise _collapse("backtracking stalled", iteration, residual, s, hint)
         v, s, current = v_new, s_new, candidate
         trace.append(
             IterationRecord(
@@ -246,6 +244,12 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
         residual,
         s,
     )
+
+
+def _collapse(what, iteration, residual, s, hint) -> BoundaryCollapseError:
+    """The error of an iteration that cannot leave the samples s."""
+    where = f"at iteration {iteration} with residual {residual:.3e} and min sample {s.min():.3e}"
+    return BoundaryCollapseError(f"{what} {where}{hint}", iteration, residual, float(s.min()))
 
 
 def _residual(blocks) -> float:

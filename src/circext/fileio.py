@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -38,6 +39,9 @@ class InputFormatError(ValueError):
 
 
 def format_float(x: float) -> str:
+    """17 significant digits of a finite float; nan and inf have no JSON form."""
+    if not math.isfinite(x):
+        raise ValueError(f"refusing to write the non-finite number {x}")
     return f"{float(x):.17g}"
 
 
@@ -73,9 +77,9 @@ def _emit(obj, indent: int = 0) -> str:
 
 
 def dump_json(obj: dict, path: str) -> None:
+    text = _emit(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_emit(obj))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path: str) -> dict:
@@ -177,6 +181,20 @@ class ProblemSpec:
     warnings: list[str]
 
 
+def _checked(source: str, build):
+    """build(), with a ValueError raised again as an InputFormatError naming source."""
+    try:
+        return build()
+    except ValueError as exc:
+        raise InputFormatError(f"{source}: {exc}") from exc
+
+
+def _grid(data: dict, source: str) -> DiscreteGrid:
+    if isinstance(data["N"], bool) or not isinstance(data["N"], int):
+        raise InputFormatError(f'{source}: field "N" must be an integer')
+    return _checked(source, lambda: DiscreteGrid(data["N"]))
+
+
 def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
     warnings = [
         f'{source}: ignoring unknown field "{key}"'
@@ -190,29 +208,17 @@ def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
         raise InputFormatError(f"{source}: unsupported version {version!r}")
     if "N" not in data:
         raise InputFormatError(f'{source}: missing required field "N"')
-    N = data["N"]
-    if isinstance(N, bool) or not isinstance(N, int):
-        raise InputFormatError(f'{source}: field "N" must be an integer')
-    try:
-        grid = DiscreteGrid(N)
-    except ValueError as exc:
-        raise InputFormatError(f"{source}: {exc}") from exc
+    grid = _grid(data, source)
     if "c" not in data:
         raise InputFormatError(
             f'{source}: missing required field "c" '
             "(covariance sequence as [re, im] pairs)"
         )
-    try:
-        c = CovarianceSequence(parse_complex_list(data["c"], "c"))
-    except ValueError as exc:
-        raise InputFormatError(f"{source}: {exc}") from exc
+    c = _checked(source, lambda: CovarianceSequence(parse_complex_list(data["c"], "c")))
 
     m = None
     if "m" in data:
-        try:
-            m = CepstralSequence(parse_complex_list(data["m"], "m"))
-        except ValueError as exc:
-            raise InputFormatError(f"{source}: {exc}") from exc
+        m = _checked(source, lambda: CepstralSequence(parse_complex_list(data["m"], "m")))
 
     p = symbol_from_json(data["p"], "p") if "p" in data else None
 
@@ -227,10 +233,7 @@ def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise InputFormatError(f'{source}: option "{key}" must be a number')
         opts_kwargs[key] = int(value) if key == "max_iter" else float(value)
-    try:
-        options = SolverOptions(**opts_kwargs)
-    except ValueError as exc:
-        raise InputFormatError(f"{source}: {exc}") from exc
+    options = _checked(source, lambda: SolverOptions(**opts_kwargs))
 
     regularization = None
     if "lambda" in data:
@@ -293,34 +296,26 @@ def load_model(path: str) -> tuple[DiscreteGrid, SymmetricPseudoPolynomial, Symm
     for key in ("N", "p", "q"):
         if key not in data:
             raise InputFormatError(f'{path}: model needs field "{key}"')
-    N = data["N"]
-    if isinstance(N, bool) or not isinstance(N, int):
-        raise InputFormatError(f'{path}: field "N" must be an integer')
-    grid = DiscreteGrid(N)
-    p = symbol_from_json(data["p"], "p")
-    q = symbol_from_json(data["q"], "q")
-    return grid, p, q
+    return _grid(data, path), symbol_from_json(data["p"], "p"), symbol_from_json(data["q"], "q")
 
 
 def model_spectrum(grid, p, q) -> SpectrumSamples:
     """Node samples of P/Q with positivity checks on both symbols."""
     pv = eval_symbol(p, grid).real_values()
     qv = eval_symbol(q, grid).real_values()
-    for name, vals in (("numerator", pv), ("denominator", qv)):
-        if name == "denominator" and vals.min() <= 0.0:
-            j = int(grid.indices[int(np.argmin(vals))])
-            raise InputFormatError(f"model {name} is not positive at node j={j}")
-        if name == "numerator" and vals.min() < 0.0:
-            j = int(grid.indices[int(np.argmin(vals))])
-            raise InputFormatError(f"model {name} is negative at node j={j}")
+    if pv.min() < 0.0:
+        j = grid.indices[np.argmin(pv)]
+        raise InputFormatError(f"model numerator is negative at node j={j}")
+    if qv.min() <= 0.0:
+        j = grid.indices[np.argmin(qv)]
+        raise InputFormatError(f"model denominator is not positive at node j={j}")
     return SpectrumSamples(grid, pv / qv)
 
 
 def write_csv(path: str, header: str, rows) -> None:
+    lines = [header] + [",".join(_cell(x) for x in row) for row in rows]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(x) for x in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cell(x) -> str:

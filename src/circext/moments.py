@@ -3,7 +3,7 @@
 A covariance sequence c_0 ... c_n pairs with symmetric pseudo-polynomials
 through <C,P> = sum_{k=-n}^{n} c_k conj(p_k).  Membership of c in the cone of
 sequences realizable by a strictly positive spectrum on a given grid is
-decided exactly by a small linear program.
+decided by a small linear program whose dual symbol proves the verdict.
 """
 
 from __future__ import annotations
@@ -14,11 +14,15 @@ import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial
 from .grid import DiscreteGrid, SpectrumSamples, require_positive
-from .kernels import hermitian_toeplitz, moment_vector, pairing
-from .simplex import simplex_maximize
+from .kernels import (
+    coeffs_to_real, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs, trig_basis,
+)
+from .simplex import _simplex
 
 REAL_TOL = 1e-12
 FEASIBLE_TOL = 1e-12     # strictly-interior floor on the LP margin
+CERT_TOL = 1e-9          # a-posteriori bound on the certificate residuals
+UNCHECKED_MESSAGE = "certificate failed its residual check"
 
 
 @dataclass
@@ -120,53 +124,56 @@ def inner_product(c: CovarianceSequence, p: SymmetricPseudoPolynomial) -> float:
 
 @dataclass
 class FeasibilityCertificate:
-    """Outcome of the max-min feasibility program on one grid."""
+    """Outcome of the max-min feasibility program on one grid, with its proof.
+
+    dual is the dual symbol Q with q_0 = 1.  The residuals, checked on return, are
+    the largest lag error of the node values, min_j Q(zeta_j) and |<C,Q> - margin|.
+    """
 
     feasible: bool
     witness: SpectrumSamples | None
     margin: float
+    dual: SymmetricPseudoPolynomial
+    pivots: int
+    lag_residual: float
+    min_dual: float
+    duality_gap: float
 
 
 def feasibility_certificate(c: CovarianceSequence, grid: DiscreteGrid) -> FeasibilityCertificate:
     """Decide whether strictly positive node values can match the lags of c.
 
     Solves  maximize t  subject to  x_j >= t  and the 2n+1 real constraints
-    (1/2N) sum_j zeta_j^k x_j = c_k for k = 0 ... n.  Writing x_j = t + s_j
-    with s_j >= 0 removes t from every k >= 1 row, leaving a standard-form
-    program for the dense simplex.  Feasible means t* > 0; the boundary case
-    t* = 0 is reported infeasible with margin 0.
+    (1/2N) sum_j zeta_j^k x_j = c_k for k = 0 ... n.  With x_j = t + 2N u_j,
+    u_j >= 0, the k = 0 row reads t = c_0 - sum_j u_j, so the simplex minimizes
+    sum_j u_j subject to the rows cos(k theta_j), sin(k theta_j) against
+    (Re c_k, Im c_k).  Their multipliers y give the dual symbol Q = 1 + y . rows:
+    Q >= 0 on the grid, q_0 = 1 and <C,Q> = t*, which proves the margin
+    optimal and, for t* <= 0, separates c from the cone.  Feasible means
+    t* > 0; t* = 0 is reported infeasible.  RuntimeError is raised when the
+    lag residual or duality gap exceeds CERT_TOL * max|c_k| or min Q < -CERT_TOL.
     """
     n = c.n
     if n >= grid.N:
         raise ValueError(f"need n < N, got n={n}, N={grid.N}")
-    size = grid.size
-    angles = grid.angles
-    nv = 2 + size                      # t+, t-, s_0 ... s_{2N-1}
-    rows = []
-    rhs = []
-    row0 = np.zeros(nv)
-    row0[0], row0[1] = 1.0, -1.0
-    row0[2:] = 1.0 / size
-    rows.append(row0)
-    rhs.append(c.c[0].real)
-    for k in range(1, n + 1):
-        phase = np.exp(1j * k * angles)
-        re_row = np.zeros(nv)
-        re_row[2:] = phase.real / size
-        rows.append(re_row)
-        rhs.append(c.c[k].real)
-        im_row = np.zeros(nv)
-        im_row[2:] = phase.imag / size
-        rows.append(im_row)
-        rhs.append(c.c[k].imag)
-    objective = np.zeros(nv)
-    objective[0], objective[1] = 1.0, -1.0
-    x, value = simplex_maximize(objective, np.array(rows), np.array(rhs))
-    margin = float(value)
-    if not np.isfinite(margin):
-        raise ValueError(f"certificate LP returned margin {margin}; the lags must be finite")
-    tol = FEASIBLE_TOL * max(1.0, c.c[0].real)
-    if margin <= tol:
-        return FeasibilityCertificate(False, None, margin)
-    witness = SpectrumSamples(grid, margin + x[2:])
-    return FeasibilityCertificate(True, witness, margin)
+    if not np.isfinite(c.c).all():
+        raise ValueError(f"the lags must be finite, got {c.c!r}")
+    rows = 0.5 * trig_basis(grid.angles, n, include_constant=False)
+    u, value, y, pivots = _simplex(-np.ones(grid.size), rows, coeffs_to_real(c.c)[1:])
+    margin = float(c.c[0].real + value)
+    nodes = margin + grid.size * u
+    dual = SymmetricPseudoPolynomial(real_to_coeffs(np.concatenate(([1.0], 0.5 * y))))
+    lag_residual = float(np.abs(moment_vector(grid.angles, nodes, n) - c.c).max())
+    min_dual = float((1.0 + y @ rows).min())
+    duality_gap = abs(pairing(c.c, dual.coeffs) - margin)
+    tol = CERT_TOL * c.sup_norm()
+    if not (lag_residual <= tol and duality_gap <= tol and min_dual >= -CERT_TOL):
+        raise RuntimeError(
+            f"{UNCHECKED_MESSAGE}: lag residual {lag_residual:.3e}, min Q {min_dual:.3e}, "
+            f"duality gap {duality_gap:.3e} against tolerance {tol:.3e}"
+        )
+    feasible = bool(margin > FEASIBLE_TOL * max(1.0, c.c[0].real))
+    witness = SpectrumSamples(grid, nodes) if feasible else None
+    return FeasibilityCertificate(
+        feasible, witness, margin, dual, pivots, lag_residual, min_dual, duality_gap
+    )

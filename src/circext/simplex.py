@@ -1,17 +1,21 @@
-"""Dense two-phase simplex for small equality-form linear programs.
+"""Revised two-phase simplex for small equality-form linear programs.
 
-Solves  maximize  obj . x   subject to  A x = b,  x >= 0  on a full tableau
-with explicit Gauss-Jordan pivots.  Entering columns follow Bland's rule
-(smallest improving index), which rules out cycling, and leaving rows break
-ratio ties by smallest basis index.  Intended for desk-scale problems where
-determinism matters more than speed.
+Solves  maximize  obj . x   subject to  A x = b,  x >= 0  for few rows and
+many columns.  Each pivot solves three systems with the m x m basis matrix
+(basic values, row multipliers y, entering column) and prices all columns at
+once by the reduced costs obj - y A: Dantzig's rule, or Bland's (smallest
+improving index) after more than m degenerate pivots in a row until the
+objective moves, which rules out cycling.  Ratio ties go to the smallest
+basis index.  At the optimum, y solves  min b . y  over  y A >= obj.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-PIVOT_TOL = 1e-9
+PIVOT_TOL = 1e-9     # smallest usable entry of an entering column or basis row
+PRICE_TOL = 1e-12    # reduced cost above which a column improves the objective
+RATIO_TOL = 1e-12    # basic values this close to zero at the step tie; shorter steps are degenerate
 PIVOT_BUDGET_MESSAGE = "simplex exceeded the pivot budget"
 ARTIFICIAL_TOL = 1e-7
 
@@ -24,45 +28,37 @@ class UnboundedError(ValueError):
     """The objective is unbounded above on the feasible set."""
 
 
-def _pivot_until_optimal(tableau, basis, cost, max_pivots):
-    """Run primal simplex pivots in place; False when an unbounded ray appears."""
-    m = tableau.shape[0]
-    for _ in range(max_pivots):
-        reduced = cost - cost[basis] @ tableau[:, :-1]
-        entering = -1
-        for j in range(reduced.size):
-            if reduced[j] > PIVOT_TOL:
-                entering = j
-                break
-        if entering < 0:
-            return True
-        col = tableau[:, entering]
-        leaving = -1
-        best_ratio = None
-        for i in range(m):
-            if col[i] > PIVOT_TOL:
-                ratio = tableau[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - 1e-12
-                    or (abs(ratio - best_ratio) <= 1e-12 and basis[i] < basis[leaving])
-                ):
-                    leaving, best_ratio = i, ratio
-        if leaving < 0:
-            return False
-        tableau[leaving] /= tableau[leaving, entering]
-        for i in range(m):
-            if i != leaving and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leaving]
-        basis[leaving] = entering
+def _pivot_until_optimal(A, b, cost, basis, max_pivots):
+    """Pivot basis in place to optimality: (basic values, y, pivots), None on an improving ray."""
+    stalled = 0
+    for pivots in range(max_pivots + 1):
+        B = A[:, basis]
+        xb = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, cost[basis])
+        reduced = cost - y @ A
+        reduced[basis] = 0.0    # exact for basic columns, which rounding could make re-enter
+        entering = int(np.argmax(reduced > PRICE_TOL if stalled > basis.size else reduced))
+        if reduced[entering] <= PRICE_TOL:
+            return xb, y, pivots
+        if pivots == max_pivots:
+            break
+        d = np.linalg.solve(B, A[:, entering])
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        if rows.size == 0:
+            return None
+        ratios = np.maximum(xb[rows], 0.0) / d[rows]
+        ties = rows[(ratios - ratios.min()) * d[rows] <= RATIO_TOL]
+        stalled = stalled + 1 if ratios.min() <= RATIO_TOL else 0
+        basis[ties[np.argmin(basis[ties])]] = entering
     raise RuntimeError(PIVOT_BUDGET_MESSAGE)
 
 
-def simplex_maximize(obj, A, b, max_pivots: int = 20000):
-    """Maximize obj.x over {A x = b, x >= 0}; returns (x, value).
+def _simplex(obj, A, b, max_pivots: int = 20000):
+    """Optimal (x, value, y, pivots) of max obj.x over {A x = b, x >= 0}.
 
-    Raises InfeasibleError when phase one cannot zero the artificials and
-    UnboundedError when phase two finds an improving ray.
+    y has one multiplier per row of A, zero on rows dropped as redundant,
+    with y A >= obj within PRICE_TOL and b . y = value; pivots counts both
+    phases, each of which may take max_pivots.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -70,52 +66,49 @@ def simplex_maximize(obj, A, b, max_pivots: int = 20000):
     m, n = A.shape
     if b.shape != (m,) or obj.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(obj).all()):
+        raise ValueError("LP data must be finite")
+    sign = np.where(b < 0, -1.0, 1.0)
+    A *= sign[:, None]
+    b *= sign
 
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # phase one: artificial basis, drive sum of artificials to zero
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:, :n] = A
-    tableau[:, n : n + m] = np.eye(m)
-    tableau[:, -1] = b
-    basis = list(range(n, n + m))
-    phase1_cost = np.zeros(n + m)
-    phase1_cost[n:] = -1.0
-    _pivot_until_optimal(tableau, basis, phase1_cost, max_pivots)
-    residual = sum(tableau[i, -1] for i in range(m) if basis[i] >= n)
+    # phase one: artificial columns first, so that ratio ties drop them first
+    work = np.hstack([np.eye(m), A])
+    basis = np.arange(m)
+    phase1_cost = np.concatenate([-np.ones(m), np.zeros(n)])
+    xb, _, pivots = _pivot_until_optimal(work, b, phase1_cost, basis, max_pivots)
+    residual = float(xb[basis < m].sum())
     if residual > ARTIFICIAL_TOL:
         raise InfeasibleError(f"phase one residual {residual:.3e}")
 
-    # pivot lingering zero-level artificials out; drop genuinely redundant rows
-    drop = []
-    for i in range(m):
-        if basis[i] >= n:
-            pivot_col = -1
-            for j in range(n):
-                if abs(tableau[i, j]) > PIVOT_TOL:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
-                drop.append(i)
-                continue
-            tableau[i] /= tableau[i, pivot_col]
-            for r in range(m):
-                if r != i and tableau[r, pivot_col] != 0.0:
-                    tableau[r] -= tableau[r, pivot_col] * tableau[i]
-            basis[i] = pivot_col
-    if drop:
-        keep = [i for i in range(m) if i not in drop]
-        tableau = tableau[keep]
-        basis = [basis[i] for i in keep]
+    # pivot zero-level artificials out; where their row of B^-1 A vanishes
+    # on the original columns, the artificial's own row is redundant
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(basis < m):
+        row = np.linalg.solve(work[:, basis].T, np.eye(m)[i]) @ A
+        j = int(np.argmax(np.abs(row)))
+        if abs(row[j]) > PIVOT_TOL:
+            basis[i] = m + j
+        else:
+            keep[basis[i]] = False
+    basis = basis[basis >= m] - m
 
     # phase two on the original columns
-    tableau = np.hstack([tableau[:, :n], tableau[:, -1:]])
-    if not _pivot_until_optimal(tableau, basis, obj, max_pivots):
+    result = _pivot_until_optimal(A[keep], b[keep], obj, basis, max_pivots)
+    if result is None:
         raise UnboundedError("phase two found an improving ray")
     x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[i, -1]
-    return x, float(obj @ x)
+    x[basis] = np.maximum(result[0], 0.0)    # a negative basic value is a rounded zero
+    y = np.zeros(m)
+    y[keep] = result[1]
+    return x, float(obj @ x), sign * y, pivots + result[2]
+
+
+def simplex_maximize(obj, A, b, max_pivots: int = 20000):
+    """Maximize obj.x over {A x = b, x >= 0}; returns (x, value).
+
+    Raises InfeasibleError when phase one cannot zero the artificials,
+    UnboundedError when phase two finds an improving ray, and RuntimeError
+    with PIVOT_BUDGET_MESSAGE when a phase needs more than max_pivots pivots.
+    """
+    return _simplex(obj, A, b, max_pivots)[:2]

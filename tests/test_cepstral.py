@@ -323,6 +323,17 @@ class TestBoundary:
         assert "regularization > 0" in str(info.value)
         assert info.value.min_sample < 1e-6
 
+    def test_singular_newton_system_collapses(self):
+        # the Newton system of this feasible instance turns exactly singular
+        # at lambda = 0 before the numerator reaches the floor
+        grid = DiscreteGrid(8)
+        c = CovarianceSequence([0.8431523373502422, -0.41767121540659213 - 0.17286736390866092j])
+        m = CepstralSequence([0.14351837371653225 + 0.0327550272501523j])
+        with pytest.raises(BoundaryCollapseError, match="singular Newton system") as info:
+            joint_solve(JointProblem(grid, c, m, regularization=0.0))
+        assert "regularization > 0" in str(info.value)
+        assert joint_solve(JointProblem(grid, c, m)).covariance_residual <= 1e-8
+
     def test_default_regularization_handles_the_same_data(self):
         grid = DiscreteGrid(8)
         c = CovarianceSequence([1.0, 0.3 + 0.1j])

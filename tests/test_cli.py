@@ -127,6 +127,53 @@ class TestCheck:
         assert len(payload["witness"]) == 16
         assert min(payload["witness"]) == pytest.approx(payload["margin"])
 
+    def test_lags_above_unit_variance(self, tmp_path):
+        data = {"version": 1, "N": 8, "c": [[2.5, 0.0], [0.75, 0.25]]}
+        out = tmp_path / "o"
+        assert main(["check", write_problem(tmp_path, data), "--out", str(out)]) == 0
+        assert json.loads((out / "check.json").read_text())["feasible"] is True
+
+    @pytest.mark.parametrize("N", [1024, 4096])
+    def test_degree_five_on_large_grids(self, tmp_path, capsys, N):
+        data = {"version": 1, "N": N, "c": [[1.0, 0.0], [0.5, 0.0], [0.2, 0.1], [0.05, 0.0],
+                                            [0.02, 0.0], [0.01, 0.0]]}
+        out = tmp_path / "o"
+        assert main(["check", write_problem(tmp_path, data), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith("feasible")
+        payload = json.loads((out / "check.json").read_text())
+        assert len(payload["witness"]) == 2 * N
+        assert min(payload["witness"]) == pytest.approx(payload["margin"])
+        record = json.loads((out / "run.json").read_text())["timings"]["certificate"]
+        assert record["pivots"] > 0
+        assert record["lag_residual"] <= 1e-9
+        assert record["min_dual"] >= -1e-9
+        assert record["duality_gap"] <= 1e-9
+
+    @pytest.mark.parametrize("command", ["solve", "maxent"])
+    def test_certificate_residuals_go_to_run_json_only(self, tmp_path, command):
+        out = tmp_path / "o"
+        assert main([command, write_problem(tmp_path, AR1), "--out", str(out)]) == 0
+        record = json.loads((out / "run.json").read_text())["timings"]["certificate"]
+        assert set(record) == {"pivots", "lag_residual", "min_dual", "duality_gap"}
+        for name in ("solution.json", "spectrum.csv", "extended_c.csv"):
+            assert "pivots" not in (out / name).read_text()
+
+    def test_unchecked_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
+        import circext.moments
+
+        solve = circext.moments._simplex
+
+        def wrong_dual(*args, **kwargs):
+            x, value, y, pivots = solve(*args, **kwargs)
+            return x, value, y + 0.5, pivots
+
+        monkeypatch.setattr(circext.moments, "_simplex", wrong_dual)
+        out = tmp_path / "o"
+        assert main(["check", write_problem(tmp_path, AR1), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("RuntimeError: certificate failed its residual check")
+        assert not (out / "check.json").exists()
+
     def test_infeasible(self, tmp_path, capsys):
         problem = write_problem(tmp_path, AWKWARD)
         out = tmp_path / "o"
@@ -152,7 +199,7 @@ class TestCheck:
         def exhausted(*args, **kwargs):
             raise RuntimeError("simplex exceeded the pivot budget")
 
-        monkeypatch.setattr(circext.moments, "simplex_maximize", exhausted)
+        monkeypatch.setattr(circext.moments, "_simplex", exhausted)
         problem = write_problem(tmp_path, AR1)
         out = tmp_path / "o"
         assert main(["check", problem, "--out", str(out)]) == 2
@@ -167,7 +214,7 @@ class TestCheck:
         def broken(*args, **kwargs):
             raise RuntimeError("something else")
 
-        monkeypatch.setattr(circext.moments, "simplex_maximize", broken)
+        monkeypatch.setattr(circext.moments, "_simplex", broken)
         with pytest.raises(RuntimeError, match="something else"):
             main(["check", write_problem(tmp_path, AR1), "--out", str(tmp_path / "o")])
 
@@ -206,6 +253,16 @@ class TestCepstral:
         assert "BoundaryCollapseError" in err
         assert "regularization > 0" in err
         # the default weight handles the same data
+        assert main(["cepstral", problem, "--out", str(tmp_path / "ok")]) == 0
+
+    def test_singular_newton_system_exits_three(self, tmp_path, capsys):
+        data = {"version": 1, "N": 8,
+                "c": [[0.8431523373502422, 0.0], [-0.41767121540659213, -0.17286736390866092]],
+                "m": [[0.14351837371653225, 0.0327550272501523]]}
+        problem = write_problem(tmp_path, data)
+        code = main(["cepstral", problem, "--out", str(tmp_path / "o"), "--lambda", "0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("BoundaryCollapseError: singular Newton system")
         assert main(["cepstral", problem, "--out", str(tmp_path / "ok")]) == 0
 
     def test_lambda_sweep(self, tmp_path, capsys):

@@ -27,6 +27,16 @@ class TestNumberFormat:
         for x in (1.0 / 3.0, math.pi, 1e-17, -2.5e300, 0.1 + 0.2):
             assert float(fio.format_float(x)) == x
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_numbers_are_refused(self, x, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            fio.format_float(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            fio.dump_json({"margin": x}, str(tmp_path / "out.json"))
+        with pytest.raises(ValueError, match="non-finite"):
+            fio.write_csv(str(tmp_path / "out.csv"), "x", [(1.0,), (x,)])
+        assert not list(tmp_path.iterdir())
+
     def test_emitter_layout_is_stable(self):
         payload = {"version": 1, "c": [[1.0, 0.0], [0.25, -0.5]], "note": "x"}
         first = fio._emit(payload)

@@ -1,10 +1,17 @@
-"""Dense two-phase simplex against an independent LP solver."""
+"""Revised two-phase simplex and its dual multipliers against an independent LP solver."""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from circext.simplex import InfeasibleError, UnboundedError, simplex_maximize
+from circext.simplex import (
+    PIVOT_BUDGET_MESSAGE,
+    InfeasibleError,
+    UnboundedError,
+    _pivot_until_optimal,
+    _simplex,
+    simplex_maximize,
+)
 
 from conftest import make_rng
 
@@ -98,3 +105,86 @@ class TestEdgeCases:
         b = [1.0, 1.0, 2.0]
         x, value = simplex_maximize(obj, A, b)
         assert value == pytest.approx(2.0)
+
+
+# Beale (1955): from the slack basis x1, x2, x3, the largest-coefficient rule
+# with smallest-index ties cycles through six degenerate bases
+BEALE_OBJ = [0.0, 0.0, 0.0, 0.75, -150.0, 0.02, -6.0]
+BEALE_A = [
+    [1.0, 0.0, 0.0, 0.25, -60.0, -0.04, 9.0],
+    [0.0, 1.0, 0.0, 0.5, -90.0, -0.02, 3.0],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+]
+BEALE_B = [0.0, 0.0, 1.0]
+
+
+class TestCycling:
+    def test_beale_terminates_at_the_optimum(self):
+        ref = linprog_maximize(BEALE_OBJ, BEALE_A, BEALE_B)
+        assert ref.status == 0
+        x, value = simplex_maximize(BEALE_OBJ, BEALE_A, BEALE_B)
+        assert value == pytest.approx(-ref.fun, abs=1e-12)
+        assert value == pytest.approx(0.05, abs=1e-12)
+        np.testing.assert_allclose(np.array(BEALE_A) @ x, BEALE_B, atol=1e-12)
+
+    def test_beale_from_the_slack_basis(self):
+        # the cycling start itself: the degenerate stall hands pricing to Bland
+        basis = np.array([0, 1, 2])
+        A, b, obj = np.array(BEALE_A), np.array(BEALE_B), np.array(BEALE_OBJ)
+        xb, y, pivots = _pivot_until_optimal(A, b, obj, basis, 50)
+        assert obj[basis] @ xb == pytest.approx(0.05, abs=1e-12)
+        assert b @ y == pytest.approx(0.05, abs=1e-12)
+        assert pivots < 50
+
+    def test_pivot_budget(self):
+        with pytest.raises(RuntimeError) as info:
+            simplex_maximize(BEALE_OBJ, BEALE_A, BEALE_B, max_pivots=1)
+        assert str(info.value) == PIVOT_BUDGET_MESSAGE
+
+
+class TestDualMultipliers:
+    def test_random_instances_satisfy_strong_duality(self):
+        rng = make_rng(103)
+        for trial in range(50):
+            m = int(rng.integers(1, 6))
+            n = m + int(rng.integers(1, 8))
+            # a row of ones bounds the feasible set; other rows may have b < 0
+            A = np.vstack([rng.standard_normal((m, n)), np.ones(n)])
+            b = A @ rng.random(n)
+            obj = rng.standard_normal(n)
+            ref = linprog_maximize(obj, A, b)
+            assert ref.status == 0, f"reference failed on trial {trial}"
+            x, value, y, pivots = _simplex(obj, A, b)
+            assert value == pytest.approx(-ref.fun, abs=1e-8)
+            assert b @ y == pytest.approx(value, abs=1e-8)
+            assert (y @ A - obj).min() >= -1e-9
+            assert pivots >= 1    # phase one starts with every artificial positive
+
+    def test_large_costs(self):
+        # reduced costs of basic columns round to about 1e-9 here; were they
+        # priced, a basic column would re-enter in place of itself forever
+        rng = make_rng(107)
+        for trial in range(40):
+            m = int(rng.integers(2, 6))
+            n = m + int(rng.integers(2, 10))
+            A = np.vstack([rng.standard_normal((m, n)), np.ones(n)])
+            b = A @ rng.random(n)
+            obj = 1e7 * rng.standard_normal(n)
+            ref = linprog_maximize(obj, A, b)
+            x, value = simplex_maximize(obj, A, b, max_pivots=200)
+            assert value == pytest.approx(-ref.fun, rel=1e-9)
+            np.testing.assert_allclose(A @ x, b, atol=1e-9)
+
+    def test_redundant_row_gets_zero_multiplier(self):
+        obj = [1.0, 2.0, 0.0]
+        A = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        b = np.array([3.0, 3.0, 6.0])
+        x, value, y, _ = _simplex(obj, A, b)
+        assert value == pytest.approx(6.0)
+        assert b @ y == pytest.approx(6.0)
+        assert (y @ A - obj).min() >= -1e-9
+        assert np.count_nonzero(y) == 1
+
+    def test_non_finite_data_is_refused(self):
+        with pytest.raises(ValueError, match="must be finite"):
+            simplex_maximize([1.0, 0.0], [[1.0, 1.0]], [np.nan])
