@@ -12,6 +12,7 @@ numerator collapse in unregularized cepstral matching.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -189,11 +190,13 @@ def run_approx(args) -> int:
             raise InputFormatError(f'{args.config}: "{name}" must be a positive integer')
     out = _out_dir(args)
 
-    threshold = find_threshold(c, n_max)
     sizes = data.get("grid_sizes")
     if sizes is None:
-        sizes = [N for N in default_schedule(c, n_max) if N < reference_N]
+        schedule = default_schedule(c, n_max)
+        threshold = schedule[0]
+        sizes = [N for N in schedule if N < reference_N]
     else:
+        threshold = find_threshold(c, n_max)
         if not isinstance(sizes, list) or any(
             isinstance(N, bool) or not isinstance(N, int) for N in sizes
         ):
@@ -306,7 +309,9 @@ def run_check(args) -> int:
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it unchanged."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--tol", type=float, default=None, help="solver gradient tolerance")
     shared.add_argument("--max-iter", type=int, default=None, help="solver iteration budget")

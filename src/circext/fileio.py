@@ -3,7 +3,9 @@
 JSON carries structured inputs and outputs, CSV carries array and plot data.
 Numbers are serialized with 17 significant digits so every round trip is
 lossless, and the writer emits keys in insertion order with fixed layout, so
-rerunning a command on identical input produces byte-identical files.
+rerunning a command on identical input produces byte-identical files.  A CSV
+table is formatted in one %-format over its columns: %d for integer columns,
+%.17g for the rest, each float column checked for finiteness once.
 
 Conventions: covariance and cepstral sequences are lists of [re, im] pairs
 (bare numbers are accepted on input and read as real); symbols are flat real
@@ -19,6 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -103,10 +106,8 @@ def load_json(path: str) -> dict:
 
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def complex_pairs(values: np.ndarray) -> list:
@@ -133,17 +134,10 @@ def parse_complex_list(raw, name: str) -> np.ndarray:
     return out
 
 
-def _flat_real(values) -> list:
-    co = np.asarray(values, dtype=complex)
-    out = [float(co[0].real)]
-    for z in co[1:]:
-        out += [float(z.real), float(z.imag)]
-    return out
-
-
 def symbol_to_json(p: SymmetricPseudoPolynomial) -> list:
     """Flat real array [p_0, re p_1, im p_1, ...]."""
-    return _flat_real(p.coeffs)
+    tail = p.coeffs[1:]
+    return [float(p.coeffs[0].real)] + np.column_stack([tail.real, tail.imag]).ravel().tolist()
 
 
 def symbol_from_json(raw, name: str) -> SymmetricPseudoPolynomial:
@@ -157,11 +151,9 @@ def symbol_from_json(raw, name: str) -> SymmetricPseudoPolynomial:
             f'field "{name}" must be a flat numeric array [p0, re p1, im p1, ...] '
             "of odd length"
         )
-    n = (len(raw) - 1) // 2
-    coeffs = np.zeros(n + 1, dtype=complex)
-    coeffs[0] = float(raw[0])
-    for k in range(1, n + 1):
-        coeffs[k] = complex(float(raw[2 * k - 1]), float(raw[2 * k]))
+    flat = np.asarray(raw, dtype=float)
+    coeffs = np.append(flat[0], flat[1::2]).astype(complex)
+    coeffs[1:].imag = flat[2::2]
     try:
         return SymmetricPseudoPolynomial(coeffs)
     except ValueError as exc:
@@ -313,51 +305,54 @@ def model_spectrum(grid, p, q) -> SpectrumSamples:
 
 
 def write_csv(path: str, header: str, rows) -> None:
-    lines = [header] + [",".join(_cell(x) for x in row) for row in rows]
+    _write_table(path, header, zip(*rows))
+
+
+def _write_table(path: str, header: str, columns) -> None:
+    """Write columns under header with one %-format over the whole table."""
+    formats, values = [], []
+    for column in columns:
+        arr = np.asarray(column)
+        if arr.dtype.kind not in "iu":
+            arr = np.asarray(arr, dtype=float)
+            bad = arr[~np.isfinite(arr)]
+            if bad.size:
+                format_float(bad[0])    # raises the non-finite refusal
+        formats.append("%d" if arr.dtype.kind in "iu" else "%.17g")
+        values.append(arr.tolist())
+    body = (",".join(formats) + "\n") * (len(values[0]) if values else 0)
+    text = header + "\n" + body % tuple(chain.from_iterable(zip(*values)))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _cell(x) -> str:
-    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
-        return str(int(x))
-    return format_float(x)
+        fh.write(text)
 
 
 def write_spectrum_csv(path: str, phi: SpectrumSamples) -> None:
-    vals = phi.real_values()
-    write_csv(
-        path, "theta,phi", zip(phi.grid.angles, vals)
-    )
+    _write_table(path, "theta,phi", [phi.grid.angles, phi.real_values()])
 
 
 def write_extended_csv(path: str, extended_c: np.ndarray) -> None:
-    rows = [(k, z.real, z.imag) for k, z in enumerate(np.asarray(extended_c))]
-    write_csv(path, "k,re,im", rows)
+    z = np.asarray(extended_c, dtype=complex)
+    _write_table(path, "k,re,im", [np.arange(z.size), z.real, z.imag])
 
 
 def write_realization_csv(path: str, y: np.ndarray) -> None:
-    arr = np.asarray(y, dtype=complex)
-    rows = [(t, z.real, z.imag) for t, z in enumerate(arr)]
-    write_csv(path, "t,re,im", rows)
+    z = np.asarray(y, dtype=complex)
+    _write_table(path, "t,re,im", [np.arange(z.size), z.real, z.imag])
 
 
 def read_realization_csv(path: str, grid: DiscreteGrid) -> np.ndarray:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, encoding="utf-8") as fh:
+        data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 3 or data.shape[0] != grid.size:
-        raise InputFormatError(
-            f"{path}: expected {grid.size} rows of t,re,im"
-        )
+        raise InputFormatError(f"{path}: expected {grid.size} rows of t,re,im")
     return data[:, 1] + 1j * data[:, 2]
 
 
 def write_ensemble(out_dir: str, realizations: np.ndarray, grid, seed, model_hash, real_valued) -> list[str]:
     """Write one CSV per realization plus a manifest; returns the file names."""
-    names = []
-    for r, row in enumerate(realizations):
-        name = f"realization_{r:04d}.csv"
+    names = [f"realization_{r:04d}.csv" for r in range(realizations.shape[0])]
+    for name, row in zip(names, realizations):
         write_realization_csv(os.path.join(out_dir, name), row)
-        names.append(name)
     manifest = {
         "version": FORMAT_VERSION,
         "kind": "ensemble",

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from circext import approx, cli
 from circext import fileio as fio
 from circext.cli import main
 
@@ -374,6 +375,27 @@ class TestApprox:
         fio.dump_json({"version": 1, "c": [[1.0, 0.0]], "n_max": 0}, str(config))
         assert main(["approx", str(config), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("grid_sizes", [None, [4, 8]])
+    def test_one_threshold_search_per_run(self, tmp_path, monkeypatch, grid_sizes):
+        calls = []
+        search = approx.find_threshold
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(approx, "find_threshold", counted)
+        monkeypatch.setattr(cli, "find_threshold", counted)
+        config = {"version": 1, "c": [[1.0, 0.0], [0.6, 0.2]], "n_max": 16, "reference_N": 64}
+        if grid_sizes is not None:
+            config["grid_sizes"] = grid_sizes
+        fio.dump_json(config, str(tmp_path / "config.json"))
+        out = tmp_path / "o"
+        assert main(["approx", str(tmp_path / "config.json"), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        payload = json.loads((out / "approx.json").read_text())
+        assert payload["threshold"] == search(*calls[0])
+
 
 class TestSimulateEstimate:
     def solved_model(self, tmp_path):
@@ -466,3 +488,34 @@ class TestSimulateEstimate:
             abs(a - b) for a, b in zip(original["q"], recovered["q"])
         )
         assert worst <= 0.25
+
+
+class TestParserReuse:
+    """main builds its parser once per process; no call may see another's arguments."""
+
+    def test_arguments_do_not_leak_between_calls(self, tmp_path, monkeypatch):
+        cli.build_parser.cache_clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate"])
+        assert exc.value.code == 2
+        real = write_problem(tmp_path, {"version": 1, "N": 8, "c": [[1.0, 0.0], [0.3, 0.0]]})
+        assert main(["solve", real, "--out", str(tmp_path / "model")]) == 0
+        model = str(tmp_path / "model" / "solution.json")
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["simulate", model, "--real", "--count", "3", "--seed", "5",
+                     "--out", str(first)]) == 0
+        assert main(["simulate", model, "--out", str(second)]) == 0
+        manifest = json.loads((second / "manifest.json").read_text())
+        assert (manifest["real_valued"], manifest["count"], manifest["seed"]) == (False, 1, None)
+        assert json.loads((first / "manifest.json").read_text())["count"] == 3
+
+        seen = []
+        monkeypatch.setitem(cli.HANDLERS, "cepstral", lambda args: seen.append(args) or 0)
+        assert main(["cepstral", real, "--tol", "1e-6", "--lambda", "0.5"]) == 0
+        assert main(["cepstral", real]) == 0
+        assert (seen[0].tol, seen[0].regularization) == (1e-6, 0.5)
+        assert (seen[1].tol, seen[1].regularization) == (None, None)
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", real, "--tol", "tight"])
+        assert exc.value.code == 2
+        assert cli.build_parser() is cli.build_parser()

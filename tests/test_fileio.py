@@ -3,15 +3,20 @@
 import hashlib
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circext import (
     CepstralSequence,
     CovarianceSequence,
     DiscreteGrid,
     JointProblem,
+    SpectrumSamples,
     cepstral_moments,
     covariance_moments,
     eval_symbol,
@@ -334,6 +339,112 @@ class TestCsv:
         fio.write_spectrum_csv(str(a), report.phi)
         fio.write_spectrum_csv(str(b), report.phi)
         assert a.read_bytes() == b.read_bytes()
+
+
+# finite float64 values with the awkward ones drawn often: signed zeros,
+# subnormals, the edge of the range and whole numbers
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7e308, -1.7e308, 1e16, 1e17]
+)
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    EDGE_FLOATS,
+    st.integers(-(10**9), 10**9).map(float),
+)
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def float_arrays(min_size=1, max_size=12):
+    return st.lists(FLOATS, min_size=min_size, max_size=max_size).map(np.array)
+
+
+def reference_table(header, rows):
+    """The table formatted one value at a time: str(int) and f"{x:.17g}"."""
+    def cell(x):
+        return str(x) if isinstance(x, int) else f"{x:.17g}"
+
+    return "\n".join([header] + [",".join(cell(x) for x in row) for row in rows]) + "\n"
+
+
+def written(write, *args):
+    """Text that write(path, *args) puts in a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        write(path, *args)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def refused(write, *args):
+    """True when write(path, *args) refuses with the non-finite error and leaves no file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out")
+        with pytest.raises(ValueError, match="non-finite"):
+            write(path, *args)
+        return not os.path.exists(path)
+
+
+class TestWriterProperties:
+    """Array-at-a-time writers against per-value formatting."""
+
+    @PROPERTY
+    @given(float_arrays(), st.data())
+    def test_write_csv(self, x, data):
+        y = data.draw(float_arrays(x.size, x.size))
+        rows = list(zip(range(x.size), x.tolist(), y.tolist()))
+        assert written(fio.write_csv, "i,x,y", rows) == reference_table("i,x,y", rows)
+        # numpy scalars in the rows format like the Python numbers they hold
+        scalars = list(zip(np.arange(x.size), x, y))
+        assert written(fio.write_csv, "i,x,y", scalars) == reference_table("i,x,y", rows)
+
+    @PROPERTY
+    @given(st.integers(1, 6).flatmap(lambda N: float_arrays(2 * N, 2 * N)))
+    def test_write_spectrum_csv(self, values):
+        grid = DiscreteGrid(values.size // 2)
+        phi = SpectrumSamples(grid, values)
+        rows = list(zip(grid.angles.tolist(), values.tolist()))
+        assert written(fio.write_spectrum_csv, phi) == reference_table("theta,phi", rows)
+
+    @PROPERTY
+    @given(float_arrays(), st.data())
+    def test_complex_writers(self, re, data):
+        im = data.draw(float_arrays(re.size, re.size))
+        z = re.astype(complex)
+        z.imag = im    # re + 1j * im would turn an imaginary -0.0 into 0.0
+        rows = list(zip(range(z.size), re.tolist(), im.tolist()))
+        assert written(fio.write_extended_csv, z) == reference_table("k,re,im", rows)
+        assert written(fio.write_realization_csv, z) == reference_table("t,re,im", rows)
+
+    @PROPERTY
+    @given(float_arrays(5, 12), float_arrays(2, 2), st.integers(-(10**12), 10**12))
+    def test_dump_json(self, values, pair, n):
+        payload = {"n": n, "pair": pair, "values": values.tolist()}
+        lines = [f"    {x:.17g}" for x in values.tolist()]
+        expected = (
+            f'{{\n  "n": {n},\n  "pair": [{pair[0]:.17g}, {pair[1]:.17g}],\n'
+            '  "values": [\n' + ",\n".join(lines) + "\n  ]\n}\n"
+        )
+        assert written(lambda path, obj: fio.dump_json(obj, path), payload) == expected
+
+    def test_table_without_rows_is_its_header(self):
+        assert written(fio.write_csv, "N,distance,iterations", []) == "N,distance,iterations\n"
+
+    @PROPERTY
+    @given(float_arrays(), st.data())
+    def test_non_finite_values_are_refused(self, values, data):
+        values[data.draw(st.integers(0, values.size - 1))] = data.draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+        rows = [(i, 1.0, x) for i, x in enumerate(values.tolist())]
+        assert refused(fio.write_csv, "i,one,x", rows)
+        assert refused(fio.write_extended_csv, values)
+        imaginary = np.zeros(values.size, dtype=complex)
+        imaginary.imag = values
+        assert refused(fio.write_realization_csv, imaginary)
+        assert refused(lambda path, obj: fio.dump_json(obj, path), {"values": values.tolist()})
+        if values.size % 2 == 0:
+            phi = SpectrumSamples(DiscreteGrid(values.size // 2), values)
+            assert refused(fio.write_spectrum_csv, phi)
 
 
 class TestEnsembleFiles:
