@@ -49,7 +49,7 @@ from .kernels import (
     trig_basis,
     trig_gram,
 )
-from .moments import CepstralSequence, CovarianceSequence
+from .moments import CepstralSequence, CovarianceSequence, cepstral_moments
 
 BOUNDARY_DETECT_TOL = 1e-12
 DEFAULT_REGULARIZATION = 1e-3
@@ -282,10 +282,7 @@ def epsilon_report(report: JointReport, tol: float = 1e-8) -> np.ndarray:
     if report.epsilon is None:
         raise ValueError("epsilon is only reported for regularization > 0")
     adjusted = report.m.m + report.epsilon
-    grid = report.grid
-    attained = moment_vector(
-        grid.angles, np.log(report.phi.real_values()), report.m.n
-    )[1:]
+    attained = cepstral_moments(report.phi, report.m.n).m
     worst = float(np.max(np.abs(attained - adjusted)))
     scale = max(1.0, float(np.max(np.abs(adjusted))))
     if worst > tol * scale:

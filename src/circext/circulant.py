@@ -17,6 +17,8 @@ from .grid import (
     GridMismatchError,
     Signal,
     SpectrumSamples,
+    _as_complex_values,
+    _is_real,
     is_hermitian_even,
 )
 from .kernels import moment_vector
@@ -43,16 +45,7 @@ class SymmetricPseudoPolynomial:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=complex))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coeffs must be a nonempty 1-d sequence")
-        scale = float(np.max(np.abs(c), initial=1.0))    # NaN-propagating, unlike max()
-        if not np.isfinite(scale):
-            raise ValueError(f"coeffs must be finite, got {c!r}")
-        if abs(c[0].imag) > REAL_TOL * scale:
-            raise ValueError(f"p_0 must be real, got {c[0]!r}")
-        c[0] = c[0].real
-        self.coeffs = c
+        self.coeffs = _hermitian_coefficients(self.coeffs, "coeffs", "p_0")
 
     @property
     def degree(self) -> int:
@@ -64,6 +57,20 @@ class SymmetricPseudoPolynomial:
             and self.coeffs.shape == other.coeffs.shape
             and bool(np.array_equal(self.coeffs, other.coeffs))
         )
+
+
+def _hermitian_coefficients(values, name: str, first: str) -> np.ndarray:
+    """values as a nonempty finite 1-d complex array, entry 0 checked real and made real."""
+    c = np.atleast_1d(np.asarray(values, dtype=complex))
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d sequence")
+    scale = float(np.max(np.abs(c), initial=1.0))    # NaN-propagating, unlike max()
+    if not np.isfinite(scale):
+        raise ValueError(f"{name} must be finite, got {c!r}")
+    if abs(c[0].imag) > REAL_TOL * scale:
+        raise ValueError(f"{first} must be real, got {c[0]!r}")
+    c[0] = c[0].real
+    return c
 
 
 def constant_symbol(value: float) -> SymmetricPseudoPolynomial:
@@ -128,29 +135,11 @@ class Circulant:
     sample_values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.sample_values, dtype=complex)
-        if v.shape != (self.grid.size,):
-            raise GridMismatchError(
-                f"expected {self.grid.size} samples, got shape {v.shape}"
-            )
-        self.sample_values = v
+        self.sample_values = _as_complex_values(self.grid, self.sample_values)
 
     @classmethod
     def from_symbol(cls, grid: DiscreteGrid, p: SymmetricPseudoPolynomial):
         return cls(grid, eval_symbol(p, grid).values)
-
-    def spectrum(self) -> SpectrumSamples:
-        return SpectrumSamples(
-            self.grid,
-            self.sample_values,
-            hermitian_even=is_hermitian_even(self.grid, self.sample_values),
-        )
-
-    def symbol(self, degree: int | None = None) -> SymmetricPseudoPolynomial:
-        """Coefficients of the symbol up to the given degree (default N)."""
-        n = self.grid.N if degree is None else degree
-        real_samples = SpectrumSamples(self.grid, self.sample_values)
-        return symbol_from_samples(real_samples, n)
 
     def apply(self, signal: Signal) -> Signal:
         """Matrix-vector product via pointwise action in the transform domain."""
@@ -177,9 +166,8 @@ class HermitianCirculant(Circulant):
     def __post_init__(self):
         super().__post_init__()
         v = self.sample_values
-        scale = max(1.0, float(np.max(np.abs(v))))
-        worst = float(np.max(np.abs(v.imag)))
-        if worst > REAL_TOL * scale:
+        if not _is_real(v, REAL_TOL):
+            worst = np.max(np.abs(v.imag))
             raise ValueError(
                 f"Hermitian circulant needs real symbol samples, max |Im| = {worst:.3e}"
             )
@@ -214,34 +202,28 @@ class CyclicShift:
 
 def _wrap(grid, values) -> Circulant:
     # products of real-sampled operators stay real; keep the stronger type then
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if np.max(np.abs(np.asarray(values).imag)) <= REAL_TOL * scale:
-        return HermitianCirculant(grid, values)
-    return Circulant(grid, values)
+    cls = HermitianCirculant if _is_real(values, REAL_TOL) else Circulant
+    return cls(grid, values)
 
 
-def _samples_of(a) -> tuple[DiscreteGrid, np.ndarray]:
-    if isinstance(a, CyclicShift):
-        a = a.as_circulant()
-    return a.grid, a.sample_values
+def _samples_of(*operands) -> tuple:
+    """The grid the operands share, then the symbol samples of each."""
+    ops = [a.as_circulant() if isinstance(a, CyclicShift) else a for a in operands]
+    if any(a.grid != ops[0].grid for a in ops):
+        raise GridMismatchError("operands live on different grids")
+    return (ops[0].grid, *(a.sample_values for a in ops))
 
 
 def multiply(a, b) -> Circulant:
     """Product of circulants: pointwise product of symbol samples."""
-    grid_a, va = _samples_of(a)
-    grid_b, vb = _samples_of(b)
-    if grid_a != grid_b:
-        raise GridMismatchError("operands live on different grids")
-    return _wrap(grid_a, va * vb)
+    grid, va, vb = _samples_of(a, b)
+    return _wrap(grid, va * vb)
 
 
 def add(a, b) -> Circulant:
     """Sum of circulants: pointwise sum of symbol samples."""
-    grid_a, va = _samples_of(a)
-    grid_b, vb = _samples_of(b)
-    if grid_a != grid_b:
-        raise GridMismatchError("operands live on different grids")
-    return _wrap(grid_a, va + vb)
+    grid, va, vb = _samples_of(a, b)
+    return _wrap(grid, va + vb)
 
 
 def invert(a) -> Circulant:

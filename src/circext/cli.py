@@ -21,6 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from .approx import (
+    DEFAULT_N_MAX,
+    DEFAULT_REFERENCE_N,
     NotInOuterCone,
     ThresholdNotFound,
     convergence_sweep,
@@ -173,18 +175,13 @@ def run_cepstral(args) -> int:
 def run_approx(args) -> int:
     started = time.perf_counter()
     data = fileio.load_json(args.config)
-    known = {"version", "c", "p", "n_max", "grid_sizes", "reference_N"}
-    _warn(
-        f'{args.config}: ignoring unknown field "{k}"' for k in data if k not in known
+    _warn(fileio._header(data, args.config, ("c",), fileio.APPROX_KEYS))
+    c = fileio._checked(
+        args.config, lambda: CovarianceSequence(fileio.parse_complex_list(data["c"], "c"))
     )
-    if data.get("version", fileio.FORMAT_VERSION) != fileio.FORMAT_VERSION:
-        raise InputFormatError(f"{args.config}: unsupported version")
-    if "c" not in data:
-        raise InputFormatError(f'{args.config}: missing required field "c"')
-    c = CovarianceSequence(fileio.parse_complex_list(data["c"], "c"))
     p = fileio.symbol_from_json(data["p"], "p") if "p" in data else None
-    n_max = data.get("n_max", 4096)
-    reference_N = data.get("reference_N", 4096)
+    n_max = data.get("n_max", DEFAULT_N_MAX)
+    reference_N = data.get("reference_N", DEFAULT_REFERENCE_N)
     for name, value in (("n_max", n_max), ("reference_N", reference_N)):
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise InputFormatError(f'{args.config}: "{name}" must be a positive integer')

@@ -34,6 +34,7 @@ FORMAT_VERSION = 1
 ARTIFACT_VERSION = "0.1.0"
 
 PROBLEM_KEYS = {"version", "N", "c", "m", "p", "options", "lambda"}
+APPROX_KEYS = {"version", "c", "p", "n_max", "grid_sizes", "reference_N"}
 OPTION_KEYS = {"grad_tol", "max_iter", "boundary_floor", "backtrack_ratio"}
 
 
@@ -114,18 +115,19 @@ def complex_pairs(values: np.ndarray) -> list:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
 
 
+def _is_number(x) -> bool:
+    """A JSON number: an int or a float, but not a bool, which subclasses int."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def parse_complex_list(raw, name: str) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
         raise InputFormatError(f'field "{name}" must be a nonempty array')
     out = np.empty(len(raw), dtype=complex)
     for i, entry in enumerate(raw):
-        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+        if _is_number(entry):
             out[i] = float(entry)
-        elif (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
-        ):
+        elif isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry)):
             out[i] = complex(float(entry[0]), float(entry[1]))
         else:
             raise InputFormatError(
@@ -141,12 +143,7 @@ def symbol_to_json(p: SymmetricPseudoPolynomial) -> list:
 
 
 def symbol_from_json(raw, name: str) -> SymmetricPseudoPolynomial:
-    if (
-        not isinstance(raw, list)
-        or not raw
-        or len(raw) % 2 == 0
-        or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in raw)
-    ):
+    if not isinstance(raw, list) or len(raw) % 2 == 0 or not all(map(_is_number, raw)):
         raise InputFormatError(
             f'field "{name}" must be a flat numeric array [p0, re p1, im p1, ...] '
             "of odd length"
@@ -181,31 +178,34 @@ def _checked(source: str, build):
         raise InputFormatError(f"{source}: {exc}") from exc
 
 
+def _header(data: dict, source: str, required, known=None) -> list[str]:
+    """Warnings on the fields of an input file; a missing required field raises.
+
+    A file with a fixed schema passes known: fields outside it and a missing
+    "version" draw warnings, a foreign version raises.  Model and manifest
+    files hold whatever their writer put there, so only required is checked.
+    """
+    warnings = []
+    if known is not None:
+        warnings = [f'{source}: ignoring unknown field "{key}"' for key in data if key not in known]
+        version = data.get("version")
+        if version is None:
+            warnings.append(f'{source}: missing "version" field, assuming {FORMAT_VERSION}')
+        elif version != FORMAT_VERSION:
+            raise InputFormatError(f"{source}: unsupported version {version!r}")
+    for key in required:
+        if key not in data:
+            raise InputFormatError(f'{source}: missing required field "{key}"')
+    return warnings
+
+
 def _grid(data: dict, source: str) -> DiscreteGrid:
-    if isinstance(data["N"], bool) or not isinstance(data["N"], int):
-        raise InputFormatError(f'{source}: field "N" must be an integer')
     return _checked(source, lambda: DiscreteGrid(data["N"]))
 
 
 def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
-    warnings = [
-        f'{source}: ignoring unknown field "{key}"'
-        for key in data
-        if key not in PROBLEM_KEYS
-    ]
-    version = data.get("version")
-    if version is None:
-        warnings.append(f'{source}: missing "version" field, assuming {FORMAT_VERSION}')
-    elif version != FORMAT_VERSION:
-        raise InputFormatError(f"{source}: unsupported version {version!r}")
-    if "N" not in data:
-        raise InputFormatError(f'{source}: missing required field "N"')
+    warnings = _header(data, source, ("N", "c"), PROBLEM_KEYS)
     grid = _grid(data, source)
-    if "c" not in data:
-        raise InputFormatError(
-            f'{source}: missing required field "c" '
-            "(covariance sequence as [re, im] pairs)"
-        )
     c = _checked(source, lambda: CovarianceSequence(parse_complex_list(data["c"], "c")))
 
     m = None
@@ -222,7 +222,7 @@ def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
         if key not in OPTION_KEYS:
             warnings.append(f'{source}: ignoring unknown option "{key}"')
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             raise InputFormatError(f'{source}: option "{key}" must be a number')
         opts_kwargs[key] = int(value) if key == "max_iter" else float(value)
     options = _checked(source, lambda: SolverOptions(**opts_kwargs))
@@ -230,7 +230,7 @@ def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
     regularization = None
     if "lambda" in data:
         lam = data["lambda"]
-        if isinstance(lam, bool) or not isinstance(lam, (int, float)) or lam < 0:
+        if not _is_number(lam) or lam < 0:
             raise InputFormatError(f'{source}: field "lambda" must be a number >= 0')
         regularization = float(lam)
     return ProblemSpec(grid, c, m, p, options, regularization, warnings)
@@ -285,9 +285,7 @@ def load_model(path: str) -> tuple[DiscreteGrid, SymmetricPseudoPolynomial, Symm
     qualify, closing the solve -> simulate loop.
     """
     data = load_json(path)
-    for key in ("N", "p", "q"):
-        if key not in data:
-            raise InputFormatError(f'{path}: model needs field "{key}"')
+    _header(data, path, ("N", "p", "q"))
     return _grid(data, path), symbol_from_json(data["p"], "p"), symbol_from_json(data["q"], "q")
 
 
@@ -372,14 +370,12 @@ def read_ensemble(dir_path: str) -> tuple[np.ndarray, DiscreteGrid, dict]:
     if not os.path.exists(manifest_path):
         raise InputFormatError(f"{dir_path}: no manifest.json found")
     manifest = load_json(manifest_path)
-    for key in ("N", "files"):
-        if key not in manifest:
-            raise InputFormatError(f'{manifest_path}: missing field "{key}"')
-    grid = DiscreteGrid(manifest["N"])
-    rows = [
-        read_realization_csv(os.path.join(dir_path, name), grid)
-        for name in manifest["files"]
-    ]
+    _header(manifest, manifest_path, ("N", "files"))
+    grid = _grid(manifest, manifest_path)
+    files = manifest["files"]
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise InputFormatError(f'{manifest_path}: field "files" must be a list of file names')
+    rows = [read_realization_csv(os.path.join(dir_path, name), grid) for name in files]
     if not rows:
         raise InputFormatError(f"{dir_path}: ensemble holds no realizations")
     return np.stack(rows), grid, manifest

@@ -129,9 +129,8 @@ class SpectrumSamples:
 
     def real_values(self, tol: float = SYMMETRY_TOL) -> np.ndarray:
         """The samples as a real array; error if any imaginary part exceeds tol*scale."""
-        scale = max(1.0, float(np.max(np.abs(self.values))) if self.values.size else 1.0)
-        worst = float(np.max(np.abs(self.values.imag))) if self.values.size else 0.0
-        if worst > tol * scale:
+        if not _is_real(self.values, tol):
+            worst = np.max(np.abs(self.values.imag))
             raise ValueError(f"samples are not real: max |Im| = {worst:.3e}")
         return self.values.real.copy()
 
@@ -163,9 +162,10 @@ def _transform(values: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.roll(raw, N - 1, axis=-1) * np.exp(phase)
 
 
-def _is_real(values: np.ndarray) -> bool:
+def _is_real(values: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
+    """True when max |Im| <= tol * max(1, max |v|)."""
     scale = max(1.0, np.max(np.abs(values)))
-    return bool(np.max(np.abs(values.imag)) <= SYMMETRY_TOL * scale)
+    return bool(np.max(np.abs(values.imag)) <= tol * scale)
 
 
 def dft(signal: Signal) -> SpectrumSamples:

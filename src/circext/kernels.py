@@ -14,19 +14,19 @@ import functools
 import numpy as np
 
 
-def trig_basis(angles: np.ndarray, n: int, include_constant: bool = True) -> np.ndarray:
+def trig_basis(angles: np.ndarray, n: int) -> np.ndarray:
     """Rows spanning real symmetric pseudo-polynomials of degree <= n.
 
-    Row layout: [1 (optional), 2cos(k*t) for k=1..n, 2sin(k*t) for k=1..n].
+    Row layout: [1, 2cos(k*t) for k=1..n, 2sin(k*t) for k=1..n].
     A coefficient vector v against these rows realizes the symbol with
     p_0 = v[0], p_k = v[k] + i*v[n+k], evaluated on the grid.
     """
-    rows = [np.ones_like(angles)] if include_constant else []
+    rows = [np.ones_like(angles)]
     for k in range(1, n + 1):
         rows.append(2.0 * np.cos(k * angles))
     for k in range(1, n + 1):
         rows.append(2.0 * np.sin(k * angles))
-    return np.array(rows) if rows else np.zeros((0, angles.size))
+    return np.array(rows)
 
 
 def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarray:
@@ -53,8 +53,7 @@ def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarr
 def pairing(seq: np.ndarray, coeffs: np.ndarray) -> float:
     """Real sum_{k=-n}^{n} seq_k conj(coeffs_k) of hermitian sequences stored for k >= 0."""
     value = (seq[0] * np.conj(coeffs[0])).real
-    if seq.size > 1:
-        value += 2.0 * np.sum((seq[1:] * np.conj(coeffs[1:])).real)
+    value += 2.0 * np.sum((seq[1:] * np.conj(coeffs[1:])).real)
     return float(value)
 
 
@@ -112,8 +111,7 @@ def _gram_map(n: int) -> np.ndarray:
 def coeffs_to_real(coeffs: np.ndarray) -> np.ndarray:
     """Flatten hermitian coefficients (p_0 ... p_n) to [p0, Re p_k..., Im p_k...]."""
     c = np.asarray(coeffs, dtype=complex)
-    n = c.size - 1
-    return np.concatenate(([c[0].real], c[1:].real, c[1:].imag)) if n > 0 else np.array([c[0].real])
+    return np.concatenate(([c[0].real], c[1:].real, c[1:].imag))
 
 
 def real_to_coeffs(v: np.ndarray) -> np.ndarray:
@@ -122,6 +120,5 @@ def real_to_coeffs(v: np.ndarray) -> np.ndarray:
     n = (v.size - 1) // 2
     out = np.zeros(n + 1, dtype=complex)
     out[0] = v[0]
-    if n > 0:
-        out[1:] = v[1 : n + 1] + 1j * v[n + 1 :]
+    out[1:] = v[1 : n + 1] + 1j * v[n + 1 :]
     return out

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circulant import SymmetricPseudoPolynomial
+from .circulant import SymmetricPseudoPolynomial, _hermitian_coefficients
 from .grid import DiscreteGrid, SpectrumSamples, require_positive
 from .kernels import (
     coeffs_to_real, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs, trig_basis,
 )
 from .simplex import _simplex
 
-REAL_TOL = 1e-12
 FEASIBLE_TOL = 1e-12     # strictly-interior floor on the LP margin
 CERT_TOL = 1e-9          # a-posteriori bound on the certificate residuals
 UNCHECKED_MESSAGE = "certificate failed its residual check"
@@ -32,18 +31,9 @@ class CovarianceSequence:
     c: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.c, dtype=complex))
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("c must be a nonempty 1-d sequence")
-        scale = float(np.max(np.abs(arr), initial=1.0))    # NaN-propagating, unlike max()
-        if not np.isfinite(scale):
-            raise ValueError(f"c must be finite, got {arr!r}")
-        if abs(arr[0].imag) > REAL_TOL * scale:
-            raise ValueError(f"c_0 must be real, got {arr[0]!r}")
-        if arr[0].real <= 0.0:
-            raise ValueError(f"c_0 must be positive, got {arr[0].real!r}")
-        arr[0] = arr[0].real
-        self.c = arr
+        self.c = _hermitian_coefficients(self.c, "c", "c_0")
+        if self.c[0].real <= 0.0:
+            raise ValueError(f"c_0 must be positive, got {self.c[0].real!r}")
 
     @property
     def n(self) -> int:
@@ -92,34 +82,29 @@ def toeplitz_positive(c: CovarianceSequence):
     return smallest > 0.0, smallest
 
 
-def covariance_moments(phi: SpectrumSamples, n: int) -> CovarianceSequence:
-    """Lags c_k = integrate(phi, k) for k = 0 ... n of a positive spectrum."""
+def _positive_values(phi: SpectrumSamples, n: int) -> np.ndarray:
+    """The real node values of phi, checked positive, after checking 0 <= n < N."""
     grid = phi.grid
     if not 0 <= n < grid.N:
         raise ValueError(f"lag count n={n} must satisfy 0 <= n < N={grid.N}")
-    vals = require_positive(grid, phi.real_values(), "spectrum")
-    c = moment_vector(grid.angles, vals, n)
-    return CovarianceSequence(c)
+    return require_positive(grid, phi.real_values(), "spectrum")
+
+
+def covariance_moments(phi: SpectrumSamples, n: int) -> CovarianceSequence:
+    """Lags c_k = integrate(phi, k) for k = 0 ... n of a positive spectrum."""
+    return CovarianceSequence(moment_vector(phi.grid.angles, _positive_values(phi, n), n))
 
 
 def cepstral_moments(phi: SpectrumSamples, n: int) -> CepstralSequence:
     """Logarithmic moments m_k = integrate(log phi, k) for k = 1 ... n."""
-    grid = phi.grid
-    if not 0 <= n < grid.N:
-        raise ValueError(f"lag count n={n} must satisfy 0 <= n < N={grid.N}")
-    vals = require_positive(grid, phi.real_values(), "spectrum")
-    m = moment_vector(grid.angles, np.log(vals), n)
+    m = moment_vector(phi.grid.angles, np.log(_positive_values(phi, n)), n)
     return CepstralSequence(m[1:])
 
 
 def inner_product(c: CovarianceSequence, p: SymmetricPseudoPolynomial) -> float:
-    """The real pairing sum_{k=-n}^{n} c_k conj(p_k), zero-padding the shorter."""
-    n = max(c.n, p.degree)
-    cc = np.zeros(n + 1, dtype=complex)
-    pp = np.zeros(n + 1, dtype=complex)
-    cc[: c.n + 1] = c.c
-    pp[: p.degree + 1] = p.coeffs
-    return pairing(cc, pp)
+    """The real pairing sum_{k=-n}^{n} c_k conj(p_k); terms past the shorter add nothing."""
+    n = min(c.n, p.degree)
+    return pairing(c.c[: n + 1], p.coeffs[: n + 1])
 
 
 @dataclass
@@ -158,7 +143,7 @@ def feasibility_certificate(c: CovarianceSequence, grid: DiscreteGrid) -> Feasib
         raise ValueError(f"need n < N, got n={n}, N={grid.N}")
     if not np.isfinite(c.c).all():
         raise ValueError(f"the lags must be finite, got {c.c!r}")
-    rows = 0.5 * trig_basis(grid.angles, n, include_constant=False)
+    rows = 0.5 * trig_basis(grid.angles, n)[1:]
     u, value, y, pivots = _simplex(-np.ones(grid.size), rows, coeffs_to_real(c.c)[1:])
     margin = float(c.c[0].real + value)
     nodes = margin + grid.size * u

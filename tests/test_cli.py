@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circext import approx, cli
 from circext import fileio as fio
@@ -519,3 +522,122 @@ class TestParserReuse:
             main(["solve", real, "--tol", "tight"])
         assert exc.value.code == 2
         assert cli.build_parser() is cli.build_parser()
+
+
+
+# Generated input files: well-formed documents, with some fields dropped or
+# replaced by any JSON value (wrong types, bools, nested lists), stray keys
+# added, and numbers that are often extreme (+-1e300, any float or integer).
+EXTREMES = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e300, -1e300]),
+)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), EXTREMES, st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+# N, n_max and reference_N stop at 64, only to bound the runtime
+SIZE_FIELDS = ("N", "n_max", "reference_N")
+SIZES = st.integers(1, 64)
+NOT_SIZES = st.one_of(st.integers(max_value=0), JSON.filter(lambda v: type(v) is not int))
+REALIZATIONS = [f"realization_{r:04d}.csv" for r in range(3)]
+
+
+def number(low, high):
+    """A float in [low, high] three times in four, else an extreme number."""
+    return st.sampled_from([st.floats(low, high)] * 3 + [EXTREMES]).flatmap(lambda s: s)
+
+
+def lags(n):
+    """n+1 entries: a leading number in [0.5, 2], then reals or [re, im] pairs near zero."""
+    entry = st.one_of(number(-0.6, 0.6), st.lists(number(-0.6, 0.6), min_size=2, max_size=2))
+    return st.tuples(number(0.5, 2.0), st.lists(entry, min_size=n, max_size=n)).map(
+        lambda pair: [pair[0], *pair[1]]
+    )
+
+
+def symbol(n):
+    """Flat [p_0, re p_1, im p_1, ...] of degree <= n with p_0 in [0.5, 3]."""
+    return st.integers(0, n).flatmap(
+        lambda d: st.lists(number(-0.1, 0.1), min_size=2 * d, max_size=2 * d).flatmap(
+            lambda tail: number(0.5, 3.0).map(lambda p0: [p0, *tail])
+        )
+    )
+
+
+@st.composite
+def documents(draw, command):
+    """An input file for command, as a dict ready for json.dump."""
+    n = draw(st.integers(0, 4))
+    if command == "approx":
+        doc = {"c": draw(lags(n)), "p": draw(symbol(n)), "n_max": draw(SIZES),
+               "reference_N": draw(SIZES),
+               "grid_sizes": draw(st.lists(SIZES, max_size=4).map(sorted))}
+    elif command == "simulate":
+        doc = {"N": draw(SIZES), "p": draw(symbol(n)), "q": draw(symbol(n))}
+    elif command == "estimate":
+        doc = {"N": draw(st.one_of(st.just(4), SIZES)),
+               "files": draw(st.lists(st.sampled_from(REALIZATIONS), max_size=10))}
+    else:
+        options = {"grad_tol": number(1e-14, 1e-6), "max_iter": st.integers(1, 100),
+                   "boundary_floor": number(0.0, 1e-3), "backtrack_ratio": number(0.0, 1.0)}
+        doc = {"N": draw(SIZES), "c": draw(lags(n)),
+               "m": draw(st.lists(number(-1.0, 1.0), min_size=n, max_size=n)),
+               "p": draw(symbol(n)), "options": draw(st.fixed_dictionaries({}, optional=options)),
+               "lambda": draw(number(0.0, 1.0))}
+    doc = {"version": 1, **doc}
+    for key in list(doc):
+        action = draw(st.integers(0, 11))    # 0, the simplest draw, keeps the field
+        if action == 11:
+            del doc[key]
+        elif action == 10:
+            doc[key] = draw(NOT_SIZES if key in SIZE_FIELDS else JSON)
+    stray = st.dictionaries(st.text(max_size=4).filter(lambda k: k not in doc), JSON, max_size=2)
+    return {**doc, **draw(st.one_of(st.just({}), stray))}
+
+
+class TestAnyInputFile:
+    """Every generated input file ends in a documented exit code, never in a traceback.
+
+    N, n_max and reference_N stop at 64, and approx always gets n_max and
+    reference_N (their defaults are 4096), only to bound the runtime.  Numbers
+    near the float limit overflow to inf, and then to nan, on the way to that
+    exit code.  The command line prints numpy's warnings for those and goes on,
+    so this test lets them pass instead of raising them; every other warning
+    still fails it.
+    """
+
+    @pytest.mark.filterwarnings(
+        "ignore:(overflow|invalid value|divide by zero) encountered:RuntimeWarning"
+    )
+    @pytest.mark.parametrize(
+        "command", ["approx", "cepstral", "check", "estimate", "maxent", "simulate", "solve"]
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_exit_code(self, command, data):
+        document = data.draw(documents(command), label="input")
+        flag = data.draw(st.booleans(), label="--real or --cepstral")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = target = os.path.join(tmp, "input.json")
+            extra = []
+            if command == "simulate":
+                extra = ["--count", "2", "--seed", "1"] + (["--real"] if flag else [])
+            if command == "estimate":
+                # the manifest may list these three realizations of N = 4
+                path = os.path.join(tmp, "ensemble")
+                target = os.path.join(path, "manifest.json")
+                os.mkdir(path)
+                for seed, name in enumerate(REALIZATIONS):
+                    y = np.random.default_rng(seed).standard_normal(8)
+                    fio.write_realization_csv(os.path.join(path, name), y)
+                extra = ["--degree", str(data.draw(st.integers(-1, 4), label="--degree"))]
+                extra += ["--cepstral"] if flag else []
+            with open(target, "w") as fh:
+                json.dump(document, fh)
+            code = main([command, path, "--out", os.path.join(tmp, "out"), *extra])
+        assert code in (0, 1, 2, 3)

@@ -473,6 +473,16 @@ class TestEnsembleFiles:
         with pytest.raises(fio.InputFormatError, match="no realizations"):
             fio.read_ensemble(str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "field, value", [("files", [1]), ("files", 5), ("files", "a.csv"), ("N", True)]
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, field, value):
+        manifest = {"version": 1, "kind": "ensemble", "N": 4, "files": ["a.csv"]}
+        manifest[field] = value
+        fio.dump_json(manifest, str(tmp_path / "manifest.json"))
+        with pytest.raises(fio.InputFormatError, match=f'"{field}"|{field} must'):
+            fio.read_ensemble(str(tmp_path))
+
 
 class TestRunRecord:
     def test_fields(self):
