@@ -21,12 +21,8 @@ def trig_basis(angles: np.ndarray, n: int) -> np.ndarray:
     A coefficient vector v against these rows realizes the symbol with
     p_0 = v[0], p_k = v[k] + i*v[n+k], evaluated on the grid.
     """
-    rows = [np.ones_like(angles)]
-    for k in range(1, n + 1):
-        rows.append(2.0 * np.cos(k * angles))
-    for k in range(1, n + 1):
-        rows.append(2.0 * np.sin(k * angles))
-    return np.array(rows)
+    phases = np.arange(1, n + 1)[:, None] * angles
+    return np.vstack((np.ones_like(angles), 2.0 * np.cos(phases), 2.0 * np.sin(phases)))
 
 
 def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarray:

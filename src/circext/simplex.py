@@ -1,12 +1,13 @@
 """Revised two-phase simplex for small equality-form linear programs.
 
 Solves  maximize  obj . x   subject to  A x = b,  x >= 0  for few rows and
-many columns.  Each pivot solves three systems with the m x m basis matrix
-(basic values, row multipliers y, entering column) and prices all columns at
-once by the reduced costs obj - y A: Dantzig's rule, or Bland's (smallest
-improving index) after more than m degenerate pivots in a row until the
-objective moves, which rules out cycling.  Ratio ties go to the smallest
-basis index.  At the optimum, y solves  min b . y  over  y A >= obj.
+many columns.  Each pivot reads the basic values, the row multipliers y and
+the entering column off an explicit inverse of the m x m basis matrix, and
+prices all columns at once by the reduced costs obj - y A: Dantzig's rule, or
+Bland's (smallest improving index) after more than m degenerate pivots in a
+row until the objective moves, which rules out cycling.  Ratio ties go to the
+smallest basis index.  At the optimum, xb and y are solved from the final
+basis, and y solves  min b . y  over  y A >= obj.
 """
 
 from __future__ import annotations
@@ -29,27 +30,45 @@ class UnboundedError(ValueError):
 
 
 def _pivot_until_optimal(A, b, cost, basis, max_pivots):
-    """Pivot basis in place to optimality: (basic values, y, pivots), None on an improving ray."""
-    stalled = 0
+    """Pivot basis in place to optimality: (basic values, y, pivots), None on an improving ray.
+
+    Each exchange updates the basis inverse by a rank-one product-form step,
+    and np.linalg.inv recomputes it every m pivots from the first.  Once it
+    has max|inv| > 1e3 / (m max|A|), an ill-conditioned basis on which updated
+    products can cycle, the rest of the phase solves three systems with B.
+    """
+    m = basis.size
+    scale = m * np.abs(A).max(initial=0.0)
+    stalled, solving = 0, False
     for pivots in range(max_pivots + 1):
         B = A[:, basis]
-        xb = np.linalg.solve(B, b)
-        y = np.linalg.solve(B.T, cost[basis])
+        if not solving and pivots % max(m, 1) == 0:
+            inv = np.linalg.inv(B)
+            solving = scale * np.abs(inv).max(initial=0.0) > 1e3
+        if solving:
+            xb, y = np.linalg.solve(B, b), np.linalg.solve(B.T, cost[basis])
+        else:
+            xb, y = inv @ b, cost[basis] @ inv
         reduced = cost - y @ A
         reduced[basis] = 0.0    # exact for basic columns, which rounding could make re-enter
-        entering = int(np.argmax(reduced > PRICE_TOL if stalled > basis.size else reduced))
+        entering = int((reduced > PRICE_TOL if stalled > m else reduced).argmax())
         if reduced[entering] <= PRICE_TOL:
-            return xb, y, pivots
+            return np.linalg.solve(B, b), np.linalg.solve(B.T, cost[basis]), pivots
         if pivots == max_pivots:
             break
-        d = np.linalg.solve(B, A[:, entering])
-        rows = np.flatnonzero(d > PIVOT_TOL)
+        d = np.linalg.solve(B, A[:, entering]) if solving else inv @ A[:, entering]
+        rows = (d > PIVOT_TOL).nonzero()[0]
         if rows.size == 0:
             return None
         ratios = np.maximum(xb[rows], 0.0) / d[rows]
         ties = rows[(ratios - ratios.min()) * d[rows] <= RATIO_TOL]
         stalled = stalled + 1 if ratios.min() <= RATIO_TOL else 0
-        basis[ties[np.argmin(basis[ties])]] = entering
+        leaving = ties[basis[ties].argmin()]
+        basis[leaving] = entering
+        if not solving:
+            row = inv[leaving] / d[leaving]
+            inv -= d[:, None] * row
+            inv[leaving] = row
     raise RuntimeError(PIVOT_BUDGET_MESSAGE)
 
 

@@ -54,6 +54,30 @@ def random_feasible_covariances(rng, n, grid, low=0.2, high=2.0):
     return covariance_moments(SpectrumSamples(grid, values), n)
 
 
+def line_lags(rng, n):
+    """A spectral line plus 1-10% white noise: close to the boundary of the cone."""
+    eps = rng.uniform(0.01, 0.1)
+    c = (1.0 - eps) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi) * np.arange(n + 1))
+    c[0] = 1.0
+    return c
+
+
+def arma_lags(rng, n, N, real):
+    """Lags 0 ... n of |a|^2 / |b|^2 on the grid, zeros within 0.5 and poles within 0.7."""
+    zeta = np.exp(1j * np.pi * np.arange(-N + 1, N + 1) / N)
+
+    def power(radius):
+        if real:
+            pairs = rng.uniform(0.2, radius, n // 2) * np.exp(1j * rng.uniform(0.1, 3.0, n // 2))
+            roots = np.concatenate((pairs, np.conj(pairs), rng.uniform(-radius, radius, n % 2)))
+        else:
+            roots = rng.uniform(0.2, radius, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        return np.abs(np.prod(1.0 - roots[:, None] * zeta[None, :], axis=0)) ** 2
+
+    phi = power(0.5) / power(0.7)
+    return np.array([np.mean(phi * zeta**k) for k in range(n + 1)])
+
+
 def dft_loop(grid, coefficients):
     """O(N^2) transform oracle: G_j = sum_k g_k zeta_j^{-k}, explicit loops."""
     size = grid.size

@@ -90,6 +90,26 @@ class TestMomentVector:
             moment_vector(DiscreteGrid(8).angles, np.ones(15), 3)
 
 
+def trig_basis_loop(angles, n):
+    """Rows [1, 2cos(k t) for k = 1..n, 2sin(k t) for k = 1..n], one frequency at a time."""
+    rows = [np.ones_like(angles)]
+    rows += [2.0 * np.cos(k * angles) for k in range(1, n + 1)]
+    rows += [2.0 * np.sin(k * angles) for k in range(1, n + 1)]
+    return np.array(rows)
+
+
+class TestTrigBasis:
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 1024, 4096])
+    def test_equals_per_frequency_loop_bit_for_bit(self, N):
+        # the certificate rows and the Newton Hessians are built from this
+        # basis, so the one-product form must not move a single bit
+        angles = DiscreteGrid(N).angles
+        for n in range(min(8, N) + 1):
+            B = trig_basis(angles, n)
+            assert B.shape == (2 * n + 1, 2 * N)
+            assert np.array_equal(B, trig_basis_loop(angles, n)), f"n={n}"
+
+
 class TestToeplitz:
     def test_matches_loop(self):
         rng = make_rng(3)

@@ -20,7 +20,9 @@ from circext import (
     toeplitz_positive,
 )
 
-from conftest import make_rng, random_feasible_covariances, random_hermitian_tail
+from conftest import (
+    arma_lags, line_lags, make_rng, random_feasible_covariances, random_hermitian_tail,
+)
 
 # infeasibility of this sequence depends on the grid parity at small N even
 # though its Toeplitz matrix is positive definite
@@ -82,30 +84,6 @@ def equality_form_margin(c, N):
     )
     assert res.status == 0, f"reference LP failed: {res.message}"
     return -res.fun
-
-
-def line_lags(rng, n):
-    """A spectral line plus 1-10% white noise: close to the boundary of the cone."""
-    eps = rng.uniform(0.01, 0.1)
-    c = (1.0 - eps) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi) * np.arange(n + 1))
-    c[0] = 1.0
-    return c
-
-
-def arma_lags(rng, n, N, real):
-    """Lags 0 ... n of |a|^2 / |b|^2 on the grid, zeros within 0.5 and poles within 0.7."""
-    zeta = np.exp(1j * np.pi * np.arange(-N + 1, N + 1) / N)
-
-    def power(radius):
-        if real:
-            pairs = rng.uniform(0.2, radius, n // 2) * np.exp(1j * rng.uniform(0.1, 3.0, n // 2))
-            roots = np.concatenate((pairs, np.conj(pairs), rng.uniform(-radius, radius, n % 2)))
-        else:
-            roots = rng.uniform(0.2, radius, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-        return np.abs(np.prod(1.0 - roots[:, None] * zeta[None, :], axis=0)) ** 2
-
-    phi = power(0.5) / power(0.7)
-    return np.array([np.mean(phi * zeta**k) for k in range(n + 1)])
 
 
 def symbol_values(coeffs, N):
@@ -425,6 +403,26 @@ class TestDualCertificate:
         cert = feasibility_certificate(c, DiscreteGrid(1024))
         assert cert.feasible and cert.pivots < 1000
         assert cert.lag_residual <= 1e-12 * c.c[0].real
+
+    def test_ill_conditioned_bases_fall_back_to_solves(self):
+        # degree-8 real lags at N = 4096 whose pivots pass through
+        # ill-conditioned bases.  A loop that only updates the basis inverse
+        # drifts there: recomputed every pivot it cycles into the pivot
+        # budget, recomputed every m pivots it returns Q dipping to -4e-10
+        # and a margin 3.5e-8 low.  Solving with the basis keeps the proof tight.
+        c = CovarianceSequence([
+            511.16655141380136, 489.0938542425838, 428.5388560485437, 343.92907586346024,
+            252.70257390147376, 169.6327973182855, 103.56284515979546, 57.04539002347947,
+            27.99433061372179,
+        ])
+        cert = feasibility_certificate(c, DiscreteGrid(4096))
+        tol = 1e-9 * c.c[0].real
+        assert cert.feasible
+        assert cert.margin == pytest.approx(0.005818169095391568, abs=tol)
+        assert cert.lag_residual <= tol and cert.duality_gap <= tol and cert.min_dual >= -1e-9
+        # tight to rounding, not only to the residual check's tolerance
+        assert cert.margin == pytest.approx(0.005818169095391568, abs=1e-12 * c.c[0].real)
+        assert cert.min_dual >= -1e-12
 
     def test_residual_failure_raises(self, monkeypatch):
         import circext.moments

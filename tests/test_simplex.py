@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from circext import CovarianceSequence, DiscreteGrid, feasibility_certificate, simplex
 from circext.simplex import (
     PIVOT_BUDGET_MESSAGE,
+    PIVOT_TOL,
+    PRICE_TOL,
+    RATIO_TOL,
     InfeasibleError,
     UnboundedError,
     _pivot_until_optimal,
@@ -13,7 +17,7 @@ from circext.simplex import (
     simplex_maximize,
 )
 
-from conftest import make_rng
+from conftest import arma_lags, line_lags, make_rng
 
 
 def linprog_maximize(obj, A, b):
@@ -142,16 +146,20 @@ class TestCycling:
         assert str(info.value) == PIVOT_BUDGET_MESSAGE
 
 
+def random_bounded_lps():
+    """50 seeded random LPs; a row of ones bounds each feasible set, other rows may have b < 0."""
+    rng = make_rng(103)
+    for _ in range(50):
+        m = int(rng.integers(1, 6))
+        n = m + int(rng.integers(1, 8))
+        A = np.vstack([rng.standard_normal((m, n)), np.ones(n)])
+        b = A @ rng.random(n)
+        yield rng.standard_normal(n), A, b
+
+
 class TestDualMultipliers:
     def test_random_instances_satisfy_strong_duality(self):
-        rng = make_rng(103)
-        for trial in range(50):
-            m = int(rng.integers(1, 6))
-            n = m + int(rng.integers(1, 8))
-            # a row of ones bounds the feasible set; other rows may have b < 0
-            A = np.vstack([rng.standard_normal((m, n)), np.ones(n)])
-            b = A @ rng.random(n)
-            obj = rng.standard_normal(n)
+        for trial, (obj, A, b) in enumerate(random_bounded_lps()):
             ref = linprog_maximize(obj, A, b)
             assert ref.status == 0, f"reference failed on trial {trial}"
             x, value, y, pivots = _simplex(obj, A, b)
@@ -188,3 +196,102 @@ class TestDualMultipliers:
     def test_non_finite_data_is_refused(self):
         with pytest.raises(ValueError, match="must be finite"):
             simplex_maximize([1.0, 0.0], [[1.0, 1.0]], [np.nan])
+
+
+def three_solve_pivot_until_optimal(A, b, cost, basis, max_pivots):
+    """Reference pivot loop that solves three systems with the basis matrix at every pivot.
+
+    This is the loop the maintained basis inverse replaced, with the same
+    pricing, ratio test and tie rules; it keeps no inverse between pivots.
+    """
+    stalled = 0
+    for pivots in range(max_pivots + 1):
+        B = A[:, basis]
+        xb = np.linalg.solve(B, b)
+        y = np.linalg.solve(B.T, cost[basis])
+        reduced = cost - y @ A
+        reduced[basis] = 0.0
+        entering = int(np.argmax(reduced > PRICE_TOL if stalled > basis.size else reduced))
+        if reduced[entering] <= PRICE_TOL:
+            return xb, y, pivots
+        if pivots == max_pivots:
+            break
+        d = np.linalg.solve(B, A[:, entering])
+        rows = np.flatnonzero(d > PIVOT_TOL)
+        if rows.size == 0:
+            return None
+        ratios = np.maximum(xb[rows], 0.0) / d[rows]
+        ties = rows[(ratios - ratios.min()) * d[rows] <= RATIO_TOL]
+        stalled = stalled + 1 if ratios.min() <= RATIO_TOL else 0
+        basis[ties[np.argmin(basis[ties])]] = entering
+    raise RuntimeError(PIVOT_BUDGET_MESSAGE)
+
+
+# (kind, degree, N) of the certificate LPs; one seed per case
+CERTIFICATE_CASES = [
+    (kind, n, N) for N in (8, 64, 1024) for n in (1, 3, 5, 8) if n < N
+    for kind in ("line", "real", "complex")
+]
+
+
+def certificate_lags(kind, n, N):
+    rng = make_rng([331, n, N, len(kind)])
+    return CovarianceSequence(line_lags(rng, n) if kind == "line" else arma_lags(rng, n, N, kind == "real"))
+
+
+class TestBasisInverse:
+    """The updated basis inverse against the three-solve loop it replaced."""
+
+    @pytest.mark.parametrize("kind,n,N", CERTIFICATE_CASES)
+    def test_certificates_match_the_three_solve_loop(self, kind, n, N, monkeypatch):
+        c, grid = certificate_lags(kind, n, N), DiscreteGrid(N)
+        cert = feasibility_certificate(c, grid)
+        monkeypatch.setattr(simplex, "_pivot_until_optimal", three_solve_pivot_until_optimal)
+        ref = feasibility_certificate(c, grid)
+        scale = c.c[0].real
+        assert cert.feasible == ref.feasible
+        assert cert.margin == pytest.approx(ref.margin, abs=1e-12 * scale)
+        assert cert.duality_gap <= 1e-12 * scale and cert.min_dual >= -1e-12
+
+    def test_random_lps_match_the_three_solve_loop(self, monkeypatch):
+        problems = list(random_bounded_lps())
+        results = [_simplex(*lp) for lp in problems]
+        monkeypatch.setattr(simplex, "_pivot_until_optimal", three_solve_pivot_until_optimal)
+        for (obj, A, b), (x, value, y, _) in zip(problems, results):
+            ref_value = _simplex(obj, A, b)[1]
+            scale = max(1.0, abs(ref_value))
+            assert value == pytest.approx(ref_value, abs=1e-12 * scale)
+            assert b @ y == pytest.approx(value, abs=1e-12 * scale)
+            assert (y @ A - obj).min() >= -1e-12 * scale
+
+    def test_updated_inverse_matches_a_fresh_one(self, monkeypatch):
+        # the loop updates each np.linalg.inv result in place until the next
+        # refresh, so the last one recorded in a phase has seen its final pivots
+        refreshed = []    # (the array the loop updates, its value when computed)
+        inv, pivot = np.linalg.inv, simplex._pivot_until_optimal
+        updates = []
+
+        def recording_inv(B):
+            result = inv(B)
+            refreshed.append((result, result.copy()))
+            return result
+
+        def checked_pivot(A, b, cost, basis, max_pivots):
+            start = len(refreshed)
+            result = pivot(A, b, cost, basis, max_pivots)
+            scale = basis.size * np.abs(A).max()
+            if all(scale * np.abs(fresh).max() <= 1e3 for _, fresh in refreshed[start:]):
+                fresh = inv(A[:, basis])
+                assert np.abs(refreshed[-1][0] - fresh).max() <= 1e-10 * np.abs(fresh).max()
+                updates.append(result[2] % basis.size)
+            return result
+
+        monkeypatch.setattr(np.linalg, "inv", recording_inv)
+        monkeypatch.setattr(simplex, "_pivot_until_optimal", checked_pivot)
+        for kind, n, N in CERTIFICATE_CASES:
+            feasibility_certificate(certificate_lags(kind, n, N), DiscreteGrid(N))
+        for lp in random_bounded_lps():
+            _simplex(*lp)
+        # phases that end on a refresh compare a fresh inverse with itself;
+        # on average at least one phase per certificate ends after updates
+        assert sum(k > 0 for k in updates) >= len(CERTIFICATE_CASES)
