@@ -13,18 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (
+    SYMMETRY_TOL,
     DiscreteGrid,
     GridMismatchError,
     Signal,
     SpectrumSamples,
     _as_complex_values,
     _is_real,
-    is_hermitian_even,
 )
 from .kernels import moment_vector
 
 DENSE_CAP = 512          # largest 2N for which dense() materializes
-REAL_TOL = 1e-12         # relative imaginary-part tolerance on real symbols
 SINGULAR_TOL = 1e-13     # relative threshold below which a sample counts as zero
 BANDED_TOL = 1e-10       # relative threshold for a vanishing coefficient
 
@@ -67,7 +66,7 @@ def _hermitian_coefficients(values, name: str, first: str) -> np.ndarray:
     scale = float(np.max(np.abs(c), initial=1.0))    # NaN-propagating, unlike max()
     if not np.isfinite(scale):
         raise ValueError(f"{name} must be finite, got {c!r}")
-    if abs(c[0].imag) > REAL_TOL * scale:
+    if abs(c[0].imag) > SYMMETRY_TOL * scale:
         raise ValueError(f"{first} must be real, got {c[0]!r}")
     c[0] = c[0].real
     return c
@@ -94,12 +93,12 @@ def eval_symbol(p: SymmetricPseudoPolynomial, grid: DiscreteGrid) -> SpectrumSam
         vals += 2.0 * (p.coeffs[k] * np.exp(-1j * k * angles)).real
     if n == grid.N:
         pN = p.coeffs[n]
-        if abs(pN.imag) > REAL_TOL * scale:
+        if abs(pN.imag) > SYMMETRY_TOL * scale:
             raise ValueError(
                 f"degree-N symbol needs a real top coefficient, got {pN!r}"
             )
         vals += pN.real * np.cos(grid.N * angles)
-    return SpectrumSamples(grid, vals, hermitian_even=is_hermitian_even(grid, vals))
+    return SpectrumSamples(grid, vals)
 
 
 def symbol_from_samples(s: SpectrumSamples, n: int) -> SymmetricPseudoPolynomial:
@@ -127,6 +126,13 @@ def is_positive_on_grid(p: SymmetricPseudoPolynomial, grid: DiscreteGrid):
     return margin > 0.0, margin
 
 
+def _check_dense_cap(grid: DiscreteGrid) -> None:
+    if grid.size > DENSE_CAP:
+        raise ValueError(
+            f"dense materialization capped at 2N <= {DENSE_CAP}, grid has {grid.size}"
+        )
+
+
 @dataclass
 class Circulant:
     """A circulant operator held by its symbol samples on the grid."""
@@ -152,10 +158,7 @@ class Circulant:
 
     def dense(self) -> np.ndarray:
         """Materialize the 2N x 2N matrix (validation only, capped size)."""
-        if self.grid.size > DENSE_CAP:
-            raise ValueError(
-                f"dense materialization capped at 2N <= {DENSE_CAP}, grid has {self.grid.size}"
-            )
+        _check_dense_cap(self.grid)
         F = np.exp(-1j * np.outer(self.grid.angles, self.grid.indices))
         return (F.conj().T * self.sample_values) @ F / self.grid.size
 
@@ -165,13 +168,8 @@ class HermitianCirculant(Circulant):
 
     def __post_init__(self):
         super().__post_init__()
-        v = self.sample_values
-        if not _is_real(v, REAL_TOL):
-            worst = np.max(np.abs(v.imag))
-            raise ValueError(
-                f"Hermitian circulant needs real symbol samples, max |Im| = {worst:.3e}"
-            )
-        self.sample_values = v.real.astype(complex)
+        real = SpectrumSamples(self.grid, self.sample_values).real_values()
+        self.sample_values = real.astype(complex)
 
     @classmethod
     def identity(cls, grid: DiscreteGrid):
@@ -188,6 +186,8 @@ class CyclicShift:
         return Circulant(self.grid, self.grid.nodes**power)
 
     def dense(self, power: int = 1) -> np.ndarray:
+        """The 2N x 2N permutation matrix of S**power (validation only, capped size)."""
+        _check_dense_cap(self.grid)
         size = self.grid.size
         S = np.zeros((size, size))
         for i in range(size):
@@ -202,7 +202,7 @@ class CyclicShift:
 
 def _wrap(grid, values) -> Circulant:
     # products of real-sampled operators stay real; keep the stronger type then
-    cls = HermitianCirculant if _is_real(values, REAL_TOL) else Circulant
+    cls = HermitianCirculant if _is_real(values) else Circulant
     return cls(grid, values)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .kernels import moment_vector
 
-SYMMETRY_TOL = 1e-12
+SYMMETRY_TOL = 1e-12     # relative tolerance of every realness test; evenness's default
 
 
 class GridMismatchError(ValueError):
@@ -108,28 +108,20 @@ class Signal:
 
 @dataclass
 class SpectrumSamples:
-    """Complex samples G(zeta_j) over the grid nodes.
-
-    hermitian_even means values(j) = conj(values(-j)), the symmetry of the
-    transform of a real-valued signal; it forces real values at j = 0 and
-    j = N.
-    """
+    """Complex samples G(zeta_j) over the grid nodes, one per node."""
 
     grid: DiscreteGrid
     values: np.ndarray
-    hermitian_even: bool = False
 
     def __post_init__(self):
         self.values = _as_complex_values(self.grid, self.values)
-        if self.hermitian_even and not is_hermitian_even(self.grid, self.values):
-            raise ValueError("hermitian_even set but samples lack the conjugate symmetry")
 
     def __getitem__(self, j: int) -> complex:
         return self.values[self.grid.position(j)]
 
-    def real_values(self, tol: float = SYMMETRY_TOL) -> np.ndarray:
-        """The samples as a real array; error if any imaginary part exceeds tol*scale."""
-        if not _is_real(self.values, tol):
+    def real_values(self) -> np.ndarray:
+        """The samples as a real array; ValueError unless `_is_real` accepts them."""
+        if not _is_real(self.values):
             worst = np.max(np.abs(self.values.imag))
             raise ValueError(f"samples are not real: max |Im| = {worst:.3e}")
         return self.values.real.copy()
@@ -162,20 +154,18 @@ def _transform(values: np.ndarray, inverse: bool = False) -> np.ndarray:
     return np.roll(raw, N - 1, axis=-1) * np.exp(phase)
 
 
-def _is_real(values: np.ndarray, tol: float = SYMMETRY_TOL) -> bool:
-    """True when max |Im| <= tol * max(1, max |v|)."""
+def _is_real(values: np.ndarray) -> bool:
+    """True when max |Im| <= SYMMETRY_TOL * max(1, max |v|): the one realness rule."""
     scale = max(1.0, np.max(np.abs(values)))
-    return bool(np.max(np.abs(values.imag)) <= tol * scale)
+    return bool(np.max(np.abs(values.imag)) <= SYMMETRY_TOL * scale)
 
 
 def dft(signal: Signal) -> SpectrumSamples:
     """Transform a signal to its node samples G(zeta_j) = sum_k g_k zeta_j^{-k}.
 
     FFT-backed; agrees with the direct summation reference `dft_direct`.
-    Output is flagged hermitian_even when the input values are real.
     """
-    values = signal.values
-    return SpectrumSamples(signal.grid, _transform(values), hermitian_even=_is_real(values))
+    return SpectrumSamples(signal.grid, _transform(signal.values))
 
 
 def idft(spectrum: SpectrumSamples) -> Signal:
@@ -187,7 +177,7 @@ def dft_direct(signal: Signal) -> SpectrumSamples:
     """Direct O(N^2) reference transform, same contract as `dft`."""
     grid = signal.grid
     E = np.exp(-1j * np.outer(grid.angles, grid.indices))
-    return SpectrumSamples(grid, E @ signal.values, hermitian_even=_is_real(signal.values))
+    return SpectrumSamples(grid, E @ signal.values)
 
 
 def idft_direct(spectrum: SpectrumSamples) -> Signal:

@@ -98,8 +98,7 @@ def periodogram(y: np.ndarray, grid: DiscreteGrid) -> SpectrumSamples:
     y = np.asarray(y)
     if y.shape != (grid.size,):
         raise ValueError(f"expected one realization of shape ({grid.size},)")
-    vals = _periodograms(y, grid)
-    return SpectrumSamples(grid, vals, hermitian_even=is_hermitian_even(grid, vals))
+    return SpectrumSamples(grid, _periodograms(y, grid))
 
 
 def estimate_covariances(

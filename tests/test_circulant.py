@@ -159,6 +159,19 @@ class TestDense:
         with pytest.raises(ValueError):
             circ.dense()
 
+    def test_dense_cap_comes_before_allocation(self, monkeypatch):
+        grid = DiscreteGrid(257)
+        circ = HermitianCirculant.identity(grid)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense() allocated before its size check")
+
+        for name in ("zeros", "exp", "outer"):
+            monkeypatch.setattr(np, name, refuse)
+        for dense in (CyclicShift(grid).dense, circ.dense):
+            with pytest.raises(ValueError, match="capped at 2N <= 512, grid has 514"):
+                dense()
+
     def test_hermitian_requires_real_samples(self):
         grid = DiscreteGrid(3)
         with pytest.raises(ValueError):

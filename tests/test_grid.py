@@ -6,10 +6,13 @@ import pytest
 from circext import (
     DiscreteGrid,
     GridMismatchError,
+    HermitianCirculant,
     Signal,
     SpectrumSamples,
+    SymmetricPseudoPolynomial,
     dft,
     dft_direct,
+    eval_symbol,
     idft,
     idft_direct,
     integrate,
@@ -109,6 +112,19 @@ class TestTransforms:
             spec = dft(Signal(grid, values))
             np.testing.assert_allclose(spec.values, grid.nodes ** (-k0), atol=1e-12)
 
+    def test_near_real_input_is_accepted(self):
+        # an imaginary part below the realness tolerance must not make the
+        # transforms, or a circulant applied through them, refuse the signal
+        grid = DiscreteGrid(4)
+        values = np.zeros(grid.size, dtype=complex)
+        values[grid.position(0)] = 1.0 + 0.9e-12j
+        sig = Signal(grid, values)
+        real_hat = dft_direct(Signal(grid, values.real)).values
+        np.testing.assert_allclose(dft(sig).values, real_hat, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(dft_direct(sig).values, real_hat, rtol=0.0, atol=1e-12)
+        out = HermitianCirculant.identity(grid).apply(sig)
+        np.testing.assert_allclose(out.values, values.real, rtol=0.0, atol=1e-12)
+
     def test_plancherel(self):
         rng = make_rng(11)
         grid = DiscreteGrid(9)
@@ -174,6 +190,24 @@ class TestEvenness:
         values = 1.0 + 2.0 * (0.3 * np.exp(-1j * grid.angles)).real
         values += 2.0 * ((0.1j) * np.exp(-1j * grid.angles)).real
         assert not is_hermitian_even(grid, values)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 4096])
+    def test_real_signals_transform_even(self, N):
+        rng = make_rng(400 + N)
+        grid = DiscreteGrid(N)
+        assert is_hermitian_even(grid, dft(Signal(grid, rng.standard_normal(grid.size))).values)
+        for k in sorted({-N + 1, 0, 1, N}):
+            delta = np.zeros(grid.size)
+            delta[grid.position(k)] = rng.standard_normal()
+            assert is_hermitian_even(grid, dft(Signal(grid, delta)).values), k
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 4096])
+    def test_real_symbols_evaluate_even(self, N):
+        rng = make_rng(500 + N)
+        grid = DiscreteGrid(N)
+        for n in sorted({0, 1, min(N, 4)}):
+            p = SymmetricPseudoPolynomial(rng.standard_normal(n + 1))
+            assert is_hermitian_even(grid, eval_symbol(p, grid).values), n
 
     def test_real_values_accessor(self):
         grid = DiscreteGrid(3)
