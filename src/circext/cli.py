@@ -1,10 +1,15 @@
 """Command-line front end for the solvers and the sampling tools.
 
 Subcommands: solve, maxent, cepstral, approx, simulate, estimate, check.
-Each reads JSON input, writes JSON and CSV results into an output directory
-(--out, else the CIRCEXT_OUT_DIR environment variable, else the current
-directory), and leaves a run.json provenance record.  Exit codes: 0 success,
-1 input error, 2 infeasible input / boundary failure / threshold not found /
+Each reads its input file through a `fileio` loader, which checks the type
+and range of every field before any solver runs, and writes JSON and CSV
+results into an output directory (--out, else the CIRCEXT_OUT_DIR
+environment variable, else the current directory).  The directory is made
+when the first file is written, so a command that fails before its first
+output leaves none.  Last comes run.json, the provenance record that
+`_finish` writes from the parsed arguments; `main` starts its clock.
+Exit codes: 0 success, 1 input or schema error, 2 infeasible input /
+boundary failure / iteration budget spent / threshold not found /
 certificate LP over its pivot budget or failing its residual check, 3
 numerator collapse in unregularized cepstral matching.
 """
@@ -21,8 +26,6 @@ from dataclasses import replace
 import numpy as np
 
 from .approx import (
-    DEFAULT_N_MAX,
-    DEFAULT_REFERENCE_N,
     NotInOuterCone,
     ThresholdNotFound,
     convergence_sweep,
@@ -39,11 +42,12 @@ from .dual import (
     BoundaryCollapseError,
     DualProblem,
     MaxIterationsError,
+    SolverOptions,
     newton_solve,
 )
 from . import fileio
 from .fileio import InputFormatError
-from .moments import UNCHECKED_MESSAGE, CovarianceSequence, feasibility_certificate
+from .moments import UNCHECKED_MESSAGE, feasibility_certificate
 from .process import estimate_cepstra, estimate_covariances, sample_realizations
 from .simplex import PIVOT_BUDGET_MESSAGE
 
@@ -61,13 +65,18 @@ def _out_dir(args) -> str:
     return out
 
 
+def _out_path(args, name: str) -> str:
+    """Path of an output file; the directory is made on the first write."""
+    return os.path.join(_out_dir(args), name)
+
+
 def _warn(lines):
     for line in lines:
         print(line, file=sys.stderr)
 
 
-def _options(spec, args):
-    opts = spec.options
+def _options(opts, args):
+    """opts with --tol and --max-iter, when given, in place of its own values."""
     if args.tol is not None:
         opts = replace(opts, grad_tol=args.tol)
     if args.max_iter is not None:
@@ -75,15 +84,15 @@ def _options(spec, args):
     return opts
 
 
-def _finish(out, command, input_path, started, outputs, timings=None):
+def _finish(args, input_path, outputs, timings=None):
     record = fileio.run_record(
-        command,
+        args.command,
         fileio.sha256_file(input_path),
-        1e3 * (time.perf_counter() - started),
+        1e3 * (time.perf_counter() - args.started),
         outputs,
         timings,
     )
-    fileio.dump_json(record, os.path.join(out, "run.json"))
+    fileio.dump_json(record, _out_path(args, "run.json"))
 
 
 def _certificate_record(cert) -> dict:
@@ -93,10 +102,8 @@ def _certificate_record(cert) -> dict:
 
 
 def run_solve(args, maxent: bool = False) -> int:
-    started = time.perf_counter()
     spec = fileio.load_problem(args.problem)
     _warn(spec.warnings)
-    out = _out_dir(args)
     p = constant_symbol(1.0) if (maxent or spec.p is None) else spec.p
     cert = feasibility_certificate(spec.c, spec.grid)
     if not cert.feasible:
@@ -106,27 +113,25 @@ def run_solve(args, maxent: bool = False) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    report = newton_solve(DualProblem(spec.grid, spec.c, p), _options(spec, args))
-    fileio.dump_json(fileio.solution_to_dict(report), os.path.join(out, "solution.json"))
-    fileio.write_spectrum_csv(os.path.join(out, "spectrum.csv"), report.phi)
-    fileio.write_extended_csv(os.path.join(out, "extended_c.csv"), report.extended_c)
+    report = newton_solve(DualProblem(spec.grid, spec.c, p), _options(spec.options, args))
+    fileio.dump_json(fileio.solution_to_dict(report), _out_path(args, "solution.json"))
+    fileio.write_spectrum_csv(_out_path(args, "spectrum.csv"), report.phi)
+    fileio.write_extended_csv(_out_path(args, "extended_c.csv"), report.extended_c)
     print(
         f"matched {spec.c.n + 1} lags on N={spec.grid.N} in {report.iterations} "
         f"iterations, residual {report.residual:.3e}"
     )
     outputs = ["solution.json", "spectrum.csv", "extended_c.csv"]
-    _finish(out, args.command, args.problem, started, outputs, _certificate_record(cert))
+    _finish(args, args.problem, outputs, _certificate_record(cert))
     return EXIT_OK
 
 
 def run_cepstral(args) -> int:
-    started = time.perf_counter()
     spec = fileio.load_problem(args.problem)
     _warn(spec.warnings)
     if spec.m is None:
         raise InputFormatError(f'{args.problem}: cepstral matching needs field "m"')
-    out = _out_dir(args)
-    opts = _options(spec, args)
+    opts = _options(spec.options, args)
     lam = args.regularization
     if lam is None:
         lam = spec.regularization
@@ -148,10 +153,10 @@ def run_cepstral(args) -> int:
             pv = eval_symbol(report.p, spec.grid).real_values()
             rows.append((stage_lam, float(np.max(np.abs(pv - 1.0)))))
         fileio.write_csv(
-            os.path.join(out, "lambda_sweep.csv"), "lambda,p_deviation", rows
+            _out_path(args, "lambda_sweep.csv"), "lambda,p_deviation", rows
         )
         print(f"swept {len(rows)} regularization values")
-        _finish(out, "cepstral", args.problem, started, ["lambda_sweep.csv"])
+        _finish(args, args.problem, ["lambda_sweep.csv"])
         return EXIT_OK
 
     prob = JointProblem(spec.grid, spec.c, spec.m, lam)
@@ -160,45 +165,29 @@ def run_cepstral(args) -> int:
     except BoundaryCollapseError as exc:
         print(f"BoundaryCollapseError: {exc}", file=sys.stderr)
         return EXIT_COLLAPSE if lam == 0.0 else EXIT_INFEASIBLE
-    fileio.dump_json(fileio.joint_to_dict(report), os.path.join(out, "joint.json"))
-    fileio.write_spectrum_csv(os.path.join(out, "spectrum.csv"), report.phi)
+    fileio.dump_json(fileio.joint_to_dict(report), _out_path(args, "joint.json"))
+    fileio.write_spectrum_csv(_out_path(args, "spectrum.csv"), report.phi)
     flag = ", numerator on boundary" if report.boundary_flag else ""
     print(
         f"matched lags and cepstra on N={prob.grid.N} at lambda={lam:g} in "
         f"{report.iterations} iterations, residuals "
         f"({report.covariance_residual:.3e}, {report.cepstral_residual:.3e}){flag}"
     )
-    _finish(out, "cepstral", args.problem, started, ["joint.json", "spectrum.csv"])
+    _finish(args, args.problem, ["joint.json", "spectrum.csv"])
     return EXIT_OK
 
 
 def run_approx(args) -> int:
-    started = time.perf_counter()
-    data = fileio.load_json(args.config)
-    _warn(fileio._header(data, args.config, ("c",), fileio.APPROX_KEYS))
-    c = fileio._checked(
-        args.config, lambda: CovarianceSequence(fileio.parse_complex_list(data["c"], "c"))
-    )
-    p = fileio.symbol_from_json(data["p"], "p") if "p" in data else None
-    n_max = data.get("n_max", DEFAULT_N_MAX)
-    reference_N = data.get("reference_N", DEFAULT_REFERENCE_N)
-    for name, value in (("n_max", n_max), ("reference_N", reference_N)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise InputFormatError(f'{args.config}: "{name}" must be a positive integer')
-    out = _out_dir(args)
-
-    sizes = data.get("grid_sizes")
+    c, p, n_max, reference_N, sizes, warnings = fileio.load_approx(args.config)
+    _warn(warnings)
+    opts = _options(SolverOptions(), args)
     if sizes is None:
         schedule = default_schedule(c, n_max)
         threshold = schedule[0]
         sizes = [N for N in schedule if N < reference_N]
     else:
         threshold = find_threshold(c, n_max)
-        if not isinstance(sizes, list) or any(
-            isinstance(N, bool) or not isinstance(N, int) for N in sizes
-        ):
-            raise InputFormatError(f'{args.config}: "grid_sizes" must be integers')
-    report = convergence_sweep(c, sizes, p=p, reference_N=reference_N)
+    report = convergence_sweep(c, sizes, p=p, reference_N=reference_N, opts=opts)
     stages = []
     rows = []
     runtimes = []
@@ -221,38 +210,33 @@ def run_approx(args) -> int:
         "eventually_decreasing": report.eventually_decreasing,
         "stages": stages,
     }
-    fileio.dump_json(payload, os.path.join(out, "approx.json"))
+    fileio.dump_json(payload, _out_path(args, "approx.json"))
     fileio.write_csv(
-        os.path.join(out, "sweep.csv"), "N,distance,iterations", rows
+        _out_path(args, "sweep.csv"), "N,distance,iterations", rows
     )
     print(
         f"threshold N0={threshold}; swept {len(rows)} feasible grids, "
         f"eventually_decreasing={report.eventually_decreasing}"
     )
-    _finish(
-        out, "approx", args.config, started, ["approx.json", "sweep.csv"], {"stages": runtimes}
-    )
+    _finish(args, args.config, ["approx.json", "sweep.csv"], {"stages": runtimes})
     return EXIT_OK
 
 
 def run_simulate(args) -> int:
-    started = time.perf_counter()
     grid, p, q = fileio.load_model(args.model)
     phi = fileio.model_spectrum(grid, p, q)
     realizations = sample_realizations(
         phi, args.count, seed=args.seed, real_valued=args.real
     )
-    out = _out_dir(args)
     names = fileio.write_ensemble(
-        out, realizations, grid, args.seed, fileio.sha256_file(args.model), args.real
+        _out_dir(args), realizations, grid, args.seed, fileio.sha256_file(args.model), args.real
     )
     print(f"wrote {len(names)} realizations of length {grid.size}")
-    _finish(out, "simulate", args.model, started, names + ["manifest.json"])
+    _finish(args, args.model, names + ["manifest.json"])
     return EXIT_OK
 
 
 def run_estimate(args) -> int:
-    started = time.perf_counter()
     realizations, grid, _ = fileio.read_ensemble(args.ensemble)
     c = estimate_covariances(realizations, grid, args.degree)
     payload = {
@@ -265,29 +249,20 @@ def run_estimate(args) -> int:
             realizations, grid, args.degree, smoothing=not args.no_smoothing
         )
         payload["m"] = fileio.complex_pairs(m.m)
-    out = _out_dir(args)
-    fileio.dump_json(payload, os.path.join(out, "estimates.json"))
+    fileio.dump_json(payload, _out_path(args, "estimates.json"))
     print(
         f"estimated {args.degree + 1} lags"
         + (" and cepstra" if args.cepstral else "")
         + f" from {realizations.shape[0]} realizations"
     )
-    _finish(
-        out,
-        "estimate",
-        os.path.join(args.ensemble, "manifest.json"),
-        started,
-        ["estimates.json"],
-    )
+    _finish(args, os.path.join(args.ensemble, "manifest.json"), ["estimates.json"])
     return EXIT_OK
 
 
 def run_check(args) -> int:
-    started = time.perf_counter()
     spec = fileio.load_problem(args.problem)
     _warn(spec.warnings)
     cert = feasibility_certificate(spec.c, spec.grid)
-    out = _out_dir(args)
     payload = {
         "version": fileio.FORMAT_VERSION,
         "kind": "check",
@@ -297,12 +272,12 @@ def run_check(args) -> int:
     }
     if cert.witness is not None:
         payload["witness"] = [float(x) for x in cert.witness.real_values()]
-    fileio.dump_json(payload, os.path.join(out, "check.json"))
+    fileio.dump_json(payload, _out_path(args, "check.json"))
     print(
         ("feasible" if cert.feasible else "infeasible")
         + f" on N={spec.grid.N}, margin {cert.margin:.6g}"
     )
-    _finish(out, "check", args.problem, started, ["check.json"], _certificate_record(cert))
+    _finish(args, args.problem, ["check.json"], _certificate_record(cert))
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
@@ -379,6 +354,7 @@ HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.started = time.perf_counter()
     try:
         return HANDLERS[args.command](args)
     except (NotInOuterCone, ThresholdNotFound, BoundaryCollapseError, MaxIterationsError) as exc:

@@ -25,6 +25,7 @@ from itertools import chain
 
 import numpy as np
 
+from .approx import DEFAULT_N_MAX, DEFAULT_REFERENCE_N
 from .circulant import SymmetricPseudoPolynomial, eval_symbol
 from .dual import SolverOptions
 from .grid import DiscreteGrid, SpectrumSamples
@@ -240,6 +241,26 @@ def load_problem(path: str) -> ProblemSpec:
     return problem_from_dict(load_json(path), source=path)
 
 
+def load_approx(path: str) -> tuple:
+    """An approx config as (c, p or None, n_max, reference_N, grid_sizes or None, warnings)."""
+    data = load_json(path)
+    warnings = _header(data, path, ("c",), APPROX_KEYS)
+    c = _checked(path, lambda: CovarianceSequence(parse_complex_list(data["c"], "c")))
+    p = symbol_from_json(data["p"], "p") if "p" in data else None
+    n_max = data.get("n_max", DEFAULT_N_MAX)
+    reference_N = data.get("reference_N", DEFAULT_REFERENCE_N)
+    for name, value in (("n_max", n_max), ("reference_N", reference_N)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise InputFormatError(f'{path}: "{name}" must be a positive integer')
+    sizes = data.get("grid_sizes")
+    if sizes is not None:
+        if not isinstance(sizes, list) or any(
+            isinstance(N, bool) or not isinstance(N, int) for N in sizes
+        ):
+            raise InputFormatError(f'{path}: "grid_sizes" must be integers')
+    return c, p, n_max, reference_N, sizes, warnings
+
+
 def solution_to_dict(report) -> dict:
     """JSON payload for a covariance matching report."""
     return {
@@ -289,17 +310,28 @@ def load_model(path: str) -> tuple[DiscreteGrid, SymmetricPseudoPolynomial, Symm
     return _grid(data, path), symbol_from_json(data["p"], "p"), symbol_from_json(data["q"], "q")
 
 
+def _refuse_non_finite(grid, values, name: str) -> None:
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputFormatError(f"model {name} is not finite at node j={grid.indices[bad[0]]}")
+
+
 def model_spectrum(grid, p, q) -> SpectrumSamples:
-    """Node samples of P/Q with positivity checks on both symbols."""
+    """Node samples of P/Q, refused unless P >= 0, Q > 0 and P, Q and P/Q are finite."""
     pv = eval_symbol(p, grid).real_values()
     qv = eval_symbol(q, grid).real_values()
+    _refuse_non_finite(grid, pv, "numerator")
+    _refuse_non_finite(grid, qv, "denominator")
     if pv.min() < 0.0:
         j = grid.indices[np.argmin(pv)]
         raise InputFormatError(f"model numerator is negative at node j={j}")
     if qv.min() <= 0.0:
         j = grid.indices[np.argmin(qv)]
         raise InputFormatError(f"model denominator is not positive at node j={j}")
-    return SpectrumSamples(grid, pv / qv)
+    with np.errstate(over="ignore"):    # a quotient past the float range is refused below
+        phi = pv / qv
+    _refuse_non_finite(grid, phi, "spectrum P/Q")
+    return SpectrumSamples(grid, phi)
 
 
 def write_csv(path: str, header: str, rows) -> None:

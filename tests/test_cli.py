@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from circext.cli import main
 WHITE = {"version": 1, "N": 8, "c": [[1.0, 0.0]]}
 AR1 = {"version": 1, "N": 8, "c": [[1.0, 0.0], [0.3, 0.1]]}
 AWKWARD = {"version": 1, "N": 3, "c": [[1.0, 0.0], [0.0, 0.0], [-0.95, 0.0]]}
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -371,6 +373,13 @@ class TestApprox:
         assert main(["approx", str(config), "--out", str(tmp_path / "o")]) == 2
         assert "ThresholdNotFound" in capsys.readouterr().err
 
+    def test_solver_flags_reach_the_sweep(self, tmp_path, capsys):
+        config = os.path.join(FIXTURES, "approx_config.json")
+        out = tmp_path / "o"
+        assert main(["approx", config, "--out", str(out), "--max-iter", "1"]) == 2
+        assert capsys.readouterr().err.startswith("MaxIterationsError")
+        assert not out.exists()
+
     def test_config_validation(self, tmp_path):
         config = tmp_path / "config.json"
         fio.dump_json({"version": 1, "n_max": 8}, str(config))
@@ -523,6 +532,68 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert cli.build_parser() is cli.build_parser()
 
+
+class TestOutputDirectory:
+    """The output directory appears with the first output file, and run.json lists the rest."""
+
+    def test_bad_approx_file_exits_one_before_any_search(self, tmp_path, capsys):
+        # lags outside the outer cone: a threshold search would exit 2 first
+        config = write_problem(tmp_path, {"c": [[1, 0], [2, 0]], "n_max": 64,
+                                          "reference_N": 128, "grid_sizes": "x"})
+        out = tmp_path / "o"
+        assert main(["approx", config, "--out", str(out)]) == 1
+        assert '"grid_sizes"' in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_lambda_sweep_leaves_no_directory(self, tmp_path):
+        problem = os.path.join(FIXTURES, "joint_problem.json")
+        out = tmp_path / "o"
+        assert main(["cepstral", problem, "--out", str(out), "--lambda-sweep", "abc"]) == 1
+        assert not out.exists()
+
+    def test_infeasible_solve_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["solve", write_problem(tmp_path, AWKWARD), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_overflowing_model_refused_at_load(self, tmp_path, capsys, real):
+        model = write_problem(tmp_path, {"version": 1, "kind": "model", "N": 4,
+                                         "p": [1.7e308, 0.8e308, 0], "q": [1]})
+        out = tmp_path / "o"
+        argv = ["simulate", model, "--count", "2", "--seed", "1", "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + (["--real"] if real else [])) == 1
+        assert "model numerator is not finite at node j=" in capsys.readouterr().err
+        assert not out.exists()
+        # the symbol's own overflow still warns; nothing after it does
+        assert caught
+        assert all(os.path.basename(w.filename) == "circulant.py" for w in caught)
+
+    @pytest.mark.parametrize("command, source, extra", [
+        ("check", "ar1_problem.json", []),
+        ("solve", "ar1_problem.json", []),
+        ("maxent", "ar1_problem.json", []),
+        ("cepstral", "joint_problem.json", []),
+        ("cepstral", "joint_problem.json", ["--lambda-sweep", "1,0.5,0.1,0.01"]),
+        ("approx", "approx_config.json", []),
+        ("simulate", "sim_model.json", ["--count", "8", "--seed", "3"]),
+        ("simulate", "sim_model.json", ["--count", "8", "--seed", "3", "--real"]),
+        ("estimate", "sim_model.json", ["--degree", "1", "--cepstral"]),
+    ])
+    def test_run_json_lists_the_directory(self, tmp_path, command, source, extra):
+        source = os.path.join(FIXTURES, source)
+        if command == "estimate":
+            ensemble = str(tmp_path / "ensemble")
+            assert main(["simulate", source, "--count", "8", "--seed", "3",
+                         "--out", ensemble]) == 0
+            source = ensemble
+        out = tmp_path / "o"
+        assert main([command, source, "--out", str(out), *extra]) == 0
+        record = json.loads((out / "run.json").read_text())
+        assert record["command"] == command
+        assert sorted(record["outputs"] + ["run.json"]) == sorted(os.listdir(out))
 
 
 # Generated input files: well-formed documents, with some fields dropped or

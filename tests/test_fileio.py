@@ -23,6 +23,7 @@ from circext import (
     joint_solve,
     maxent_solve,
 )
+from circext import approx
 from circext import fileio as fio
 from circext.circulant import SymmetricPseudoPolynomial
 
@@ -294,6 +295,61 @@ class TestModelFiles:
         negative = SymmetricPseudoPolynomial([1.0, -0.6])
         with pytest.raises(fio.InputFormatError, match="numerator"):
             fio.model_spectrum(grid, negative, flat)
+
+    def test_model_beyond_the_float_range_refused(self):
+        grid = DiscreteGrid(4)
+        flat = SymmetricPseudoPolynomial([1.0])
+        steep = SymmetricPseudoPolynomial([1e300])
+        shallow = SymmetricPseudoPolynomial([1e-10])
+        # each sample is finite, but their quotient 1e310 is not
+        with pytest.raises(fio.InputFormatError, match=r"P/Q is not finite at node j="):
+            fio.model_spectrum(grid, steep, shallow)
+        assert fio.model_spectrum(grid, steep, flat).real_values().max() == 1e300
+
+
+class TestApproxConfig:
+    def load(self, tmp_path, **fields):
+        path = tmp_path / "config.json"
+        fio.dump_json({"version": 1, "c": [[1.0, 0.0], [0.4, 0.0]], **fields}, str(path))
+        return fio.load_approx(str(path))
+
+    def test_defaults(self, tmp_path):
+        c, p, n_max, reference_N, sizes, warnings = self.load(tmp_path)
+        np.testing.assert_array_equal(c.c, [1.0, 0.4])
+        assert p is None and sizes is None and warnings == []
+        assert (n_max, reference_N) == (approx.DEFAULT_N_MAX, approx.DEFAULT_REFERENCE_N)
+
+    def test_given_fields(self, tmp_path):
+        c, p, n_max, reference_N, sizes, _ = self.load(
+            tmp_path, p=[1.0, 0.2, 0.0], n_max=64, reference_N=128, grid_sizes=[4, 8]
+        )
+        assert p.coeffs.tolist() == [1.0, 0.2]
+        assert (n_max, reference_N, sizes) == (64, 128, [4, 8])
+
+    def test_unknown_field_warns(self, tmp_path):
+        *_, warnings = self.load(tmp_path, author="me")
+        assert warnings == [f'{tmp_path / "config.json"}: ignoring unknown field "author"']
+
+    @pytest.mark.parametrize("field", ["n_max", "reference_N"])
+    @pytest.mark.parametrize("value", [0, -3, True, 8.5, "8"])
+    def test_sizes_must_be_positive_integers(self, tmp_path, field, value):
+        with pytest.raises(fio.InputFormatError, match=f'"{field}" must be a positive integer'):
+            self.load(tmp_path, **{field: value})
+
+    @pytest.mark.parametrize("value", ["x", [1.5], [True], [4, None], 8])
+    def test_grid_sizes_must_be_integers(self, tmp_path, value):
+        with pytest.raises(fio.InputFormatError, match='"grid_sizes" must be integers'):
+            self.load(tmp_path, grid_sizes=value)
+
+    def test_missing_lags(self, tmp_path):
+        path = tmp_path / "config.json"
+        fio.dump_json({"version": 1, "n_max": 8}, str(path))
+        with pytest.raises(fio.InputFormatError, match='missing required field "c"'):
+            fio.load_approx(str(path))
+
+    def test_lags_are_checked(self, tmp_path):
+        with pytest.raises(fio.InputFormatError, match="config.json"):
+            self.load(tmp_path, c=[[0.0, 1.0]])
 
 
 class TestCsv:
