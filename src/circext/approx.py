@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import SymmetricPseudoPolynomial, constant_symbol, is_positive_on_grid
+from .circulant import SymmetricPseudoPolynomial, constant_symbol, eval_symbol
 from .dual import DualProblem, SolverOptions, newton_solve
-from .grid import DiscreteGrid
+from .grid import DiscreteGrid, refuse_nodes
 from .moments import CovarianceSequence, feasibility_certificate, toeplitz_positive
 
 DEFAULT_N_MAX = 4096
@@ -99,6 +99,18 @@ def default_schedule(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX, cap: int
     return schedule
 
 
+def check_schedule(c: CovarianceSequence, grid_sizes: list[int], reference_N: int) -> None:
+    """Refuse an empty schedule, or one not strictly increasing within (c.n, reference_N)."""
+    if not grid_sizes:
+        raise ValueError("the schedule must contain at least one grid size")
+    if any(b <= a for a, b in zip(grid_sizes, grid_sizes[1:])):
+        raise ValueError("the schedule must be strictly increasing")
+    if grid_sizes[0] <= c.n:
+        raise ValueError(f"every grid size must exceed the lag degree {c.n}")
+    if reference_N <= grid_sizes[-1]:
+        raise ValueError("reference_N must exceed every swept grid size")
+
+
 @dataclass
 class SweepStage:
     N: int
@@ -132,23 +144,13 @@ def convergence_sweep(
     denominator coefficients.  The eventually_decreasing flag certifies that
     the distances of the last (up to four) successful stages are nonincreasing.
     """
-    if not grid_sizes:
-        raise ValueError("the schedule must contain at least one grid size")
-    if any(b <= a for a, b in zip(grid_sizes, grid_sizes[1:])):
-        raise ValueError("the schedule must be strictly increasing")
-    if grid_sizes[0] <= c.n:
-        raise ValueError(f"every grid size must exceed the lag degree {c.n}")
-    if reference_N <= grid_sizes[-1]:
-        raise ValueError("reference_N must exceed every swept grid size")
+    check_schedule(c, grid_sizes, reference_N)
     if p is None:
         p = constant_symbol(1.0)
     # dense check on the continuous circle: the 4 * reference_N nodes of a doubled grid
-    positive, margin = is_positive_on_grid(p, DiscreteGrid(2 * reference_N))
-    if not positive:
-        raise ValueError(
-            f"numerator dips to {margin:.3e} on the circle; refinement "
-            "requires positivity everywhere, not only at grid nodes"
-        )
+    dense = DiscreteGrid(2 * reference_N)
+    vals = eval_symbol(p, dense).real_values()
+    refuse_nodes(dense, vals, vals <= 0.0, f"numerator is not positive on the circle (N={dense.N})")
 
     ref_grid = DiscreteGrid(reference_N)
     ref = newton_solve(DualProblem(ref_grid, c, p), opts)

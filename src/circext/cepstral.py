@@ -79,8 +79,8 @@ class JointProblem:
             raise ValueError(f"need degree <= N-1, got {self.c.n} on N={self.grid.N}")
         if self.c.n < 1:
             raise ValueError("joint matching needs degree at least 1")
-        if self.regularization < 0:
-            raise ValueError(f"regularization must be >= 0, got {self.regularization}")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
 
     @property
     def n(self) -> int:

@@ -20,6 +20,7 @@ from .grid import (
     SpectrumSamples,
     _as_complex_values,
     _is_real,
+    refuse_nodes,
 )
 from .kernels import moment_vector
 
@@ -235,12 +236,8 @@ def invert(a) -> Circulant:
     grid, v = _samples_of(a)
     mags = np.abs(v)
     floor = SINGULAR_TOL * float(mags.max()) if mags.max() > 0 else 0.0
-    bad = np.nonzero(mags <= floor)[0]
-    if bad.size:
-        j = int(grid.indices[bad[0]])
-        raise SingularSymbolError(
-            f"symbol sample at node j={j} is {v[bad[0]]!r}, below the invertibility floor"
-        )
+    what = "symbol sample magnitude is below the invertibility floor"
+    refuse_nodes(grid, mags, mags <= floor, what, SingularSymbolError)
     return _wrap(grid, 1.0 / v)
 
 

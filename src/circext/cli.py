@@ -21,7 +21,7 @@ import functools
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -105,6 +105,7 @@ def run_solve(args, maxent: bool = False) -> int:
     spec = fileio.load_problem(args.problem)
     _warn(spec.warnings)
     p = constant_symbol(1.0) if (maxent or spec.p is None) else spec.p
+    opts = _options(spec.options, args)
     cert = feasibility_certificate(spec.c, spec.grid)
     if not cert.feasible:
         print(
@@ -113,7 +114,7 @@ def run_solve(args, maxent: bool = False) -> int:
             file=sys.stderr,
         )
         return EXIT_INFEASIBLE
-    report = newton_solve(DualProblem(spec.grid, spec.c, p), _options(spec.options, args))
+    report = newton_solve(DualProblem(spec.grid, spec.c, p), opts)
     fileio.dump_json(fileio.solution_to_dict(report), _out_path(args, "solution.json"))
     fileio.write_spectrum_csv(_out_path(args, "spectrum.csv"), report.phi)
     fileio.write_extended_csv(_out_path(args, "extended_c.csv"), report.extended_c)
@@ -143,8 +144,8 @@ def run_cepstral(args) -> int:
             lams = [float(x) for x in args.lambda_sweep.split(",") if x.strip()]
         except ValueError as exc:
             raise InputFormatError(f"--lambda-sweep: {exc}") from exc
-        if not lams or any(x <= 0 for x in lams):
-            raise InputFormatError("--lambda-sweep needs positive comma-separated values")
+        if not lams or not all(0 < x < np.inf for x in lams):
+            raise InputFormatError("--lambda-sweep needs positive finite comma-separated values")
         rows = []
         for stage_lam in lams:
             report = joint_solve(
@@ -188,19 +189,13 @@ def run_approx(args) -> int:
     else:
         threshold = find_threshold(c, n_max)
     report = convergence_sweep(c, sizes, p=p, reference_N=reference_N, opts=opts)
-    stages = []
-    rows = []
-    runtimes = []
-    for s in report.stages:
-        entry = {"N": s.N, "feasible": s.feasible}
-        if s.distance is not None:
-            entry["distance"] = s.distance
-            entry["iterations"] = s.iterations
-            rows.append((s.N, s.distance, s.iterations))
-            runtimes.append({"N": s.N, "runtime_ms": s.runtime_ms})
-        if s.error is not None:
-            entry["error"] = s.error
-        stages.append(entry)
+    stages = [
+        {key: value for key, value in asdict(s).items() if value is not None and key != "runtime_ms"}
+        for s in report.stages
+    ]
+    solved = [s for s in report.stages if s.distance is not None]
+    rows = [(s.N, s.distance, s.iterations) for s in solved]
+    runtimes = [{"N": s.N, "runtime_ms": s.runtime_ms} for s in solved]
     payload = {
         "version": fileio.FORMAT_VERSION,
         "kind": "approx",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial, eval_symbol
-from .grid import DiscreteGrid, SpectrumSamples, require_positive
+from .grid import DiscreteGrid, SpectrumSamples, refuse_nodes, require_positive
 from .kernels import (
     coeffs_to_real,
     hermitian_toeplitz,
@@ -75,8 +75,9 @@ class SolverOptions:
     initial_q: SymmetricPseudoPolynomial | None = None
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iter <= 0 or self.boundary_floor <= 0:
-            raise ValueError("tolerances and iteration budget must be positive")
+        tolerances = (self.grad_tol, self.boundary_floor)
+        if not all(0 < x < math.inf for x in tolerances) or self.max_iter <= 0:
+            raise ValueError("tolerances must be positive and finite, the iteration budget positive")
         if not 0.0 < self.backtrack_ratio < 1.0:
             raise ValueError(f"backtrack_ratio must lie in (0,1), got {self.backtrack_ratio}")
 
@@ -102,8 +103,7 @@ class DualProblem:
         self.p_samples = eval_symbol(self.p, self.grid)
         vals = self.p_samples.real_values()
         scale = max(1.0, float(np.max(np.abs(vals))))
-        if vals.min() < -NONNEG_TOL * scale:
-            raise ValueError(f"numerator is negative on the grid (min {vals.min():.3e})")
+        refuse_nodes(self.grid, vals, vals < -NONNEG_TOL * scale, "numerator is negative")
         if vals.max() <= 0.0:
             raise ValueError("numerator is identically zero on the grid")
 

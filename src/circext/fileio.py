@@ -25,10 +25,10 @@ from itertools import chain
 
 import numpy as np
 
-from .approx import DEFAULT_N_MAX, DEFAULT_REFERENCE_N
+from .approx import DEFAULT_N_MAX, DEFAULT_REFERENCE_N, check_schedule
 from .circulant import SymmetricPseudoPolynomial, eval_symbol
 from .dual import SolverOptions
-from .grid import DiscreteGrid, SpectrumSamples
+from .grid import DiscreteGrid, SpectrumSamples, refuse_nodes
 from .moments import CepstralSequence, CovarianceSequence
 
 FORMAT_VERSION = 1
@@ -258,6 +258,7 @@ def load_approx(path: str) -> tuple:
             isinstance(N, bool) or not isinstance(N, int) for N in sizes
         ):
             raise InputFormatError(f'{path}: "grid_sizes" must be integers')
+        _checked(path, lambda: check_schedule(c, sizes, reference_N))
     return c, p, n_max, reference_N, sizes, warnings
 
 
@@ -310,27 +311,20 @@ def load_model(path: str) -> tuple[DiscreteGrid, SymmetricPseudoPolynomial, Symm
     return _grid(data, path), symbol_from_json(data["p"], "p"), symbol_from_json(data["q"], "q")
 
 
-def _refuse_non_finite(grid, values, name: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise InputFormatError(f"model {name} is not finite at node j={grid.indices[bad[0]]}")
-
-
 def model_spectrum(grid, p, q) -> SpectrumSamples:
     """Node samples of P/Q, refused unless P >= 0, Q > 0 and P, Q and P/Q are finite."""
     pv = eval_symbol(p, grid).real_values()
     qv = eval_symbol(q, grid).real_values()
-    _refuse_non_finite(grid, pv, "numerator")
-    _refuse_non_finite(grid, qv, "denominator")
-    if pv.min() < 0.0:
-        j = grid.indices[np.argmin(pv)]
-        raise InputFormatError(f"model numerator is negative at node j={j}")
-    if qv.min() <= 0.0:
-        j = grid.indices[np.argmin(qv)]
-        raise InputFormatError(f"model denominator is not positive at node j={j}")
-    with np.errstate(over="ignore"):    # a quotient past the float range is refused below
+    with np.errstate(all="ignore"):    # a quotient of refused samples is never returned
         phi = pv / qv
-    _refuse_non_finite(grid, phi, "spectrum P/Q")
+    for what, values, bad in (
+        ("numerator is not finite", pv, ~np.isfinite(pv)),
+        ("denominator is not finite", qv, ~np.isfinite(qv)),
+        ("numerator is negative", pv, pv < 0.0),
+        ("denominator is not positive", qv, qv <= 0.0),
+        ("spectrum P/Q is not finite", phi, ~np.isfinite(phi)),
+    ):
+        refuse_nodes(grid, values, bad, f"model {what}", InputFormatError)
     return SpectrumSamples(grid, phi)
 
 

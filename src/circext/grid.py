@@ -74,12 +74,16 @@ class DiscreteGrid:
         return k + self.N - 1
 
 
+def refuse_nodes(grid, values, bad, what: str, error=ValueError) -> None:
+    """Raise error naming the first node j where the mask bad holds, and its value there."""
+    hits = bad.nonzero()[0]
+    if hits.size:
+        raise error(f"{what} at node j={grid.indices[hits[0]]}: {float(values[hits[0]])!r}")
+
+
 def require_positive(grid: DiscreteGrid, values: np.ndarray, name: str) -> np.ndarray:
     """Return the real node values, or raise naming the first node where one is <= 0."""
-    bad = np.nonzero(values <= 0.0)[0]
-    if bad.size:
-        j = int(grid.indices[bad[0]])
-        raise ValueError(f"{name} sample at node j={j} is {values[bad[0]]!r}, not positive")
+    refuse_nodes(grid, values, values <= 0.0, f"{name} sample is not positive")
     return values
 
 
@@ -93,8 +97,8 @@ def _as_complex_values(grid, values):
 
 
 @dataclass
-class Signal:
-    """Complex values g_k on the index window k = -N+1 ... N."""
+class _GridValues:
+    """Complex values at the 2N storage positions of a grid, read by index or node."""
 
     grid: DiscreteGrid
     values: np.ndarray
@@ -106,18 +110,12 @@ class Signal:
         return self.values[self.grid.position(k)]
 
 
-@dataclass
-class SpectrumSamples:
+class Signal(_GridValues):
+    """Complex values g_k on the index window k = -N+1 ... N."""
+
+
+class SpectrumSamples(_GridValues):
     """Complex samples G(zeta_j) over the grid nodes, one per node."""
-
-    grid: DiscreteGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = _as_complex_values(self.grid, self.values)
-
-    def __getitem__(self, j: int) -> complex:
-        return self.values[self.grid.position(j)]
 
     def real_values(self) -> np.ndarray:
         """The samples as a real array; ValueError unless `_is_real` accepts them."""

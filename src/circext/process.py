@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import DiscreteGrid, SpectrumSamples, _transform, is_hermitian_even, require_positive
+from .grid import DiscreteGrid, SpectrumSamples, _transform, is_hermitian_even, refuse_nodes, require_positive
 from .kernels import moment_vector
 from .moments import CepstralSequence, CovarianceSequence
 
@@ -37,10 +37,7 @@ def _spectral_draws(phi: SpectrumSamples, count, rng, real_valued):
     """Independent transform-domain draws with E|yhat_j|^2 = 2N Phi_j, shape (count, 2N)."""
     grid = phi.grid
     vals = phi.real_values()
-    bad = np.nonzero(vals < 0.0)[0]
-    if bad.size:
-        j = int(grid.indices[bad[0]])
-        raise ValueError(f"spectrum sample at node j={j} is {vals[bad[0]]!r}, negative")
+    refuse_nodes(grid, vals, vals < 0.0, "spectrum sample is negative")
     scale = np.sqrt(grid.size * vals)
     if real_valued and not is_hermitian_even(grid, vals, REAL_TOL):
         raise ValueError("a real-valued process needs an even spectrum")

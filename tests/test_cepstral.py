@@ -379,6 +379,16 @@ class TestValidation:
                 regularization=-1.0,
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_regularization_is_refused(self, value):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            JointProblem(
+                DiscreteGrid(8),
+                CovarianceSequence([1.0, 0.1]),
+                CepstralSequence([0.0]),
+                regularization=value,
+            )
+
     def test_degree_zero_rejected(self):
         grid = DiscreteGrid(8)
         with pytest.raises(ValueError):

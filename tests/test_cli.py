@@ -106,6 +106,25 @@ class TestSolve:
         assert "non-finite number 1e400" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--tol", "0"]),
+        ("maxent", ["--max-iter", "0"]),
+        ("solve", ["--tol", "inf"]),
+        ("solve", ["--tol", "nan"]),
+    ])
+    def test_solver_flags_are_checked_before_the_certificate(
+        self, tmp_path, capsys, monkeypatch, command, flags
+    ):
+        def no_certificate(*args, **kwargs):
+            raise AssertionError("the certificate ran before the flags were checked")
+
+        monkeypatch.setattr(cli, "feasibility_certificate", no_certificate)
+        out = tmp_path / "o"
+        # infeasible lags: a certificate run first would exit 2
+        assert main([command, write_problem(tmp_path, AWKWARD), "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("ValueError: tolerances must be positive")
+        assert not out.exists()
+
     def test_unknown_field_warns_on_stderr(self, tmp_path, capsys):
         data = dict(AR1)
         data["author"] = "me"
@@ -295,6 +314,22 @@ class TestCepstral:
             )
             assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ["--lambda", "inf"],
+        ["--lambda", "nan"],
+        ["--lambda-sweep", "nan"],
+        ["--lambda-sweep", "1,inf"],
+    ])
+    def test_non_finite_weights_exit_one_before_any_solve(self, tmp_path, monkeypatch, flags):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the weights were checked")
+
+        monkeypatch.setattr(cli, "joint_solve", no_solve)
+        problem = os.path.join(FIXTURES, "joint_problem.json")
+        out = tmp_path / "o"
+        assert main(["cepstral", problem, "--out", str(out), *flags]) == 1
+        assert not out.exists()
+
     def test_missing_cepstra_rejected(self, tmp_path, capsys):
         problem = write_problem(tmp_path, AR1)
         assert main(["cepstral", problem, "--out", str(tmp_path / "o")]) == 1
@@ -386,6 +421,25 @@ class TestApprox:
         assert main(["approx", str(config), "--out", str(tmp_path / "o")]) == 1
         fio.dump_json({"version": 1, "c": [[1.0, 0.0]], "n_max": 0}, str(config))
         assert main(["approx", str(config), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("c, grid_sizes", [
+        ([[1, 0], [0.4, 0]], [8, 4]),
+        # lags outside the outer cone: a threshold search would exit 2
+        ([[1, 0], [2, 0]], []),
+    ])
+    def test_schedule_is_checked_before_the_threshold_search(
+        self, tmp_path, capsys, monkeypatch, c, grid_sizes
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the threshold search ran before the schedule was checked")
+
+        monkeypatch.setattr(cli, "find_threshold", no_search)
+        monkeypatch.setattr(approx, "feasibility_certificate", no_search)
+        config = write_problem(tmp_path, {"version": 1, "c": c, "grid_sizes": grid_sizes})
+        out = tmp_path / "o"
+        assert main(["approx", config, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("InputFormatError")
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid_sizes", [None, [4, 8]])
     def test_one_threshold_search_per_run(self, tmp_path, monkeypatch, grid_sizes):

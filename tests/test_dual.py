@@ -396,6 +396,13 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             SolverOptions(backtrack_ratio=1.0)
 
+    @pytest.mark.parametrize("field", ["grad_tol", "boundary_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_tolerances_are_refused(self, field, value):
+        # nan <= 0 is False, so a sign test alone once let both through
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverOptions(**{field: value})
+
     def test_problem_validation(self):
         grid = DiscreteGrid(3)
         with pytest.raises(ValueError):

@@ -341,6 +341,16 @@ class TestApproxConfig:
         with pytest.raises(fio.InputFormatError, match='"grid_sizes" must be integers'):
             self.load(tmp_path, grid_sizes=value)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"grid_sizes": [8, 4]}, "strictly increasing"),
+        ({"grid_sizes": []}, "at least one grid size"),
+        ({"grid_sizes": [1, 4]}, "exceed the lag degree 1"),
+        ({"grid_sizes": [4, 256], "reference_N": 128}, "reference_N must exceed"),
+    ])
+    def test_schedule_is_checked_at_load(self, tmp_path, fields, message):
+        with pytest.raises(fio.InputFormatError, match=message):
+            self.load(tmp_path, **fields)
+
     def test_missing_lags(self, tmp_path):
         path = tmp_path / "config.json"
         fio.dump_json({"version": 1, "n_max": 8}, str(path))

@@ -1,24 +1,36 @@
-"""Grid construction, index layout, transforms, and the evenness predicate."""
+"""Grid construction, index layout, transforms, the evenness predicate, and node refusals."""
 
 import numpy as np
 import pytest
 
 from circext import (
+    Circulant,
+    CovarianceSequence,
     DiscreteGrid,
+    DualProblem,
     GridMismatchError,
     HermitianCirculant,
+    InputFormatError,
     Signal,
+    SingularSymbolError,
     SpectrumSamples,
     SymmetricPseudoPolynomial,
+    conjugacy_check,
+    constant_symbol,
+    convergence_sweep,
     dft,
     dft_direct,
     eval_symbol,
     idft,
     idft_direct,
     integrate,
+    invert,
     is_hermitian_even,
     plancherel_inner,
+    sample_realizations,
 )
+from circext.fileio import model_spectrum
+from circext.grid import require_positive
 
 from conftest import dft_loop, make_rng
 
@@ -225,3 +237,61 @@ class TestEvenness:
         assert sig[4] == grid.size - 1
         spec = SpectrumSamples(grid, values)
         assert spec[0] == values[grid.position(0)]
+
+
+G4 = DiscreteGrid(4)
+FLAT = constant_symbol(1.0)
+# 0.1 - cos(theta): negative for |j| <= 1 on N = 4 (|j| <= 3 on N = 8), least at j = 0,
+# so its first bad node in storage order, j = -1 (j = -3), is not its argmin
+DIP = SymmetricPseudoPolynomial([0.1, -0.5])
+# 1.7e308 + 1.6e308 cos(theta) overflows to inf where cos(theta) > 0.06: first at j = -1
+HUGE = SymmetricPseudoPolynomial([1.7e308, 0.8e308])
+
+
+def dip(j, N=4):
+    return 0.1 - np.cos(np.pi * j / N)
+
+
+def with_overflow(call):
+    def run():
+        with np.errstate(over="ignore"):    # the symbol's own overflow warning
+            return call()
+    return run
+
+
+class TestNodeRefusal:
+    """Every site that refuses node samples names the first bad node and its plain value."""
+
+    @pytest.mark.parametrize("call, error, j, value", [
+        pytest.param(lambda: require_positive(G4, np.array([1, 2, 0, -1, -3, 1, 1, 1.0]), "x"),
+                     ValueError, -1, 0.0, id="require_positive"),
+        pytest.param(lambda: conjugacy_check(SpectrumSamples(G4, [1, 1, 1, 0, 1, 1, 1, 1]), 2),
+                     ValueError, 0, 0.0, id="conjugacy_check"),
+        pytest.param(lambda: sample_realizations(
+                         SpectrumSamples(G4, [1, 2, -0.5, -2, 1, 1, 1, 1]), 2, seed=0),
+                     ValueError, -1, -0.5, id="spectral_draws"),
+        pytest.param(lambda: invert(Circulant(G4, [1, 1, 1e-20, 0, 1, 1, 1, 1])),
+                     SingularSymbolError, -1, 1e-20, id="invert"),
+        pytest.param(with_overflow(lambda: model_spectrum(G4, HUGE, FLAT)),
+                     InputFormatError, -1, np.inf, id="model_numerator_finite"),
+        pytest.param(with_overflow(lambda: model_spectrum(G4, FLAT, HUGE)),
+                     InputFormatError, -1, np.inf, id="model_denominator_finite"),
+        pytest.param(lambda: model_spectrum(G4, DIP, FLAT),
+                     InputFormatError, -1, dip(-1), id="model_numerator_negative"),
+        pytest.param(lambda: model_spectrum(G4, FLAT, DIP),
+                     InputFormatError, -1, dip(-1), id="model_denominator_positive"),
+        pytest.param(lambda: model_spectrum(G4, constant_symbol(1e300), constant_symbol(1e-10)),
+                     InputFormatError, -3, np.inf, id="model_quotient_finite"),
+        pytest.param(lambda: DualProblem(G4, CovarianceSequence([1.0, 0.2]), DIP),
+                     ValueError, -1, dip(-1), id="dual_numerator"),
+        pytest.param(lambda: convergence_sweep(CovarianceSequence([1.0, 0.2]), [2], DIP, 4),
+                     ValueError, -3, dip(-3, N=8), id="sweep_numerator_on_the_circle"),
+    ])
+    def test_first_bad_node_and_plain_value(self, call, error, j, value):
+        with pytest.raises(error) as info:
+            call()
+        message = str(info.value)
+        assert "np.float64(" not in message
+        _, sep, printed = message.rpartition(f" at node j={j}: ")
+        assert sep, message
+        assert float(printed) == pytest.approx(value, rel=1e-12)
