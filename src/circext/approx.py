@@ -108,7 +108,7 @@ def check_schedule(c: CovarianceSequence, grid_sizes: list[int], reference_N: in
     if grid_sizes[0] <= c.n:
         raise ValueError(f"every grid size must exceed the lag degree {c.n}")
     if reference_N <= grid_sizes[-1]:
-        raise ValueError("reference_N must exceed every swept grid size")
+        raise ValueError(f"reference_N must exceed every swept grid size; reference_N={reference_N}, largest N={grid_sizes[-1]}")
 
 
 @dataclass

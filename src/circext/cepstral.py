@@ -31,10 +31,10 @@ import numpy as np
 
 from .circulant import SymmetricPseudoPolynomial
 from .dual import (
-    BoundaryCollapseError,
     IterationRecord,
     MaxIterationsError,
     SolverOptions,
+    _collapse,
     _damped_newton,
     _symbol_samples,
     maxent_solve,
@@ -244,13 +244,7 @@ def joint_solve(
         if lam == 0.0 and pv.min() < 1e-3 * max(1.0, pv.max()):
             # Stalling with a collapsing numerator is the boundary phenomenon of the
             # unregularized problem, not a generic iteration budget issue.
-            raise BoundaryCollapseError(
-                f"{exc}; the numerator is approaching the boundary, which exact "
-                "cepstral matching may require -- retry with regularization > 0",
-                opts.max_iter,
-                exc.residual,
-                float(pv.min()),
-            ) from exc
+            raise _collapse("iteration budget spent", opts.max_iter, exc.residual, pv, hint) from exc
         raise
     pv, qv = s
     floor = BOUNDARY_DETECT_TOL * max(1.0, float(pv.max()))

@@ -185,7 +185,7 @@ def run_approx(args) -> int:
     if sizes is None:
         schedule = default_schedule(c, n_max)
         threshold = schedule[0]
-        sizes = [N for N in schedule if N < reference_N]
+        sizes = [N for N in schedule if N < reference_N] or schedule[:1]
     else:
         threshold = find_threshold(c, n_max)
     report = convergence_sweep(c, sizes, p=p, reference_N=reference_N, opts=opts)
@@ -279,18 +279,11 @@ def run_check(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parse_args leaves it unchanged."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=None, help="solver gradient tolerance")
-    shared.add_argument("--max-iter", type=int, default=None, help="solver iteration budget")
-    shared.add_argument(
-        "--lambda",
-        dest="regularization",
-        type=float,
-        default=None,
-        help="regularization weight for cepstral matching",
-    )
-    shared.add_argument("--seed", type=int, default=None, help="random seed")
-    shared.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
+    solver = argparse.ArgumentParser(add_help=False, parents=[out])
+    solver.add_argument("--tol", type=float, default=None, help="solver gradient tolerance")
+    solver.add_argument("--max-iter", type=int, default=None, help="solver iteration budget")
 
     parser = argparse.ArgumentParser(
         prog="circext",
@@ -298,30 +291,39 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", parents=[shared], help="match lags with a fixed numerator")
+    sp = sub.add_parser("solve", parents=[solver], help="match lags with a fixed numerator")
     sp.add_argument("problem", help="problem JSON file")
 
-    sp = sub.add_parser("maxent", parents=[shared], help="match lags with numerator one")
+    sp = sub.add_parser("maxent", parents=[solver], help="match lags with numerator one")
     sp.add_argument("problem", help="problem JSON file")
 
-    sp = sub.add_parser("cepstral", parents=[shared], help="match lags and cepstra jointly")
+    sp = sub.add_parser("cepstral", parents=[solver], help="match lags and cepstra jointly")
     sp.add_argument("problem", help="problem JSON file with c and m")
-    sp.add_argument(
+    weight = sp.add_mutually_exclusive_group()
+    weight.add_argument(
+        "--lambda",
+        dest="regularization",
+        type=float,
+        default=None,
+        help="regularization weight for cepstral matching",
+    )
+    weight.add_argument(
         "--lambda-sweep",
         default=None,
         metavar="L1,L2,...",
         help="solve at each weight and emit lambda_sweep.csv instead of one solution",
     )
 
-    sp = sub.add_parser("approx", parents=[shared], help="feasibility threshold and grid refinement sweep")
+    sp = sub.add_parser("approx", parents=[solver], help="feasibility threshold and grid refinement sweep")
     sp.add_argument("config", help="sweep configuration JSON file")
 
-    sp = sub.add_parser("simulate", parents=[shared], help="draw realizations from a model file")
+    sp = sub.add_parser("simulate", parents=[out], help="draw realizations from a model file")
     sp.add_argument("model", help="model or solution JSON with p and q")
+    sp.add_argument("--seed", type=int, default=None, help="random seed")
     sp.add_argument("--count", type=int, default=1, help="number of realizations")
     sp.add_argument("--real", action="store_true", help="draw a real-valued process")
 
-    sp = sub.add_parser("estimate", parents=[shared], help="estimate moments from an ensemble directory")
+    sp = sub.add_parser("estimate", parents=[out], help="estimate moments from an ensemble directory")
     sp.add_argument("ensemble", help="directory holding manifest.json and realization CSVs")
     sp.add_argument("--degree", type=int, required=True, help="highest lag to estimate")
     sp.add_argument("--cepstral", action="store_true", help="also estimate cepstral coefficients")
@@ -331,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="average log periodograms instead of the periodograms themselves",
     )
 
-    sp = sub.add_parser("check", parents=[shared], help="feasibility certificate only")
+    sp = sub.add_parser("check", parents=[out], help="feasibility certificate only")
     sp.add_argument("problem", help="problem JSON file")
     return parser
 

@@ -9,6 +9,7 @@ from circext import (
     CovarianceSequence,
     DiscreteGrid,
     JointProblem,
+    MaxIterationsError,
     SolverOptions,
     SymmetricPseudoPolynomial,
     cepstral_moments,
@@ -24,6 +25,7 @@ from circext import (
     joint_value,
     maxent_solve,
 )
+from circext import cepstral
 
 from conftest import make_rng, random_positive_symbol, symbol_distance
 
@@ -322,6 +324,30 @@ class TestBoundary:
             joint_solve(JointProblem(grid, c, m, regularization=0.0))
         assert "regularization > 0" in str(info.value)
         assert info.value.min_sample < 1e-6
+
+    def test_spent_budget_with_collapsing_numerator(self, monkeypatch):
+        # the budget runs out while P nears zero: a collapse at the last iteration
+        samples = []
+        damped = cepstral._damped_newton
+
+        def recording(*args):
+            try:
+                return damped(*args)
+            except MaxIterationsError as exc:
+                samples.append(exc.samples)
+                raise
+
+        monkeypatch.setattr(cepstral, "_damped_newton", recording)
+        grid = DiscreteGrid(8)
+        c = CovarianceSequence([1.0, 0.3])
+        m = CepstralSequence([0.05])
+        with pytest.raises(BoundaryCollapseError, match="iteration budget spent") as info:
+            joint_solve(JointProblem(grid, c, m, regularization=0.0))
+        min_p = float(samples[0][0].min())
+        assert info.value.iteration == SolverOptions().max_iter
+        assert info.value.min_sample == min_p
+        assert f"min sample {min_p:.3e}" in str(info.value)
+        assert "regularization > 0" in str(info.value)
 
     def test_singular_newton_system_collapses(self):
         # the Newton system of this feasible instance turns exactly singular

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import tempfile
 import warnings
 
@@ -462,6 +464,22 @@ class TestApprox:
         payload = json.loads((out / "approx.json").read_text())
         assert payload["threshold"] == search(*calls[0])
 
+    @pytest.mark.parametrize("c, reference_N, threshold", [
+        ([[1, 0], [0.99, 0]], 2, 2),
+        ([[1, 0], [0, 0], [-0.95, 0]], 3, 4),
+    ])
+    def test_threshold_not_below_reference_names_both(
+        self, tmp_path, capsys, c, reference_N, threshold
+    ):
+        config = write_problem(tmp_path, {"version": 1, "c": c, "reference_N": reference_N,
+                                          "n_max": 64})
+        out = tmp_path / "o"
+        assert main(["approx", config, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: reference_N must exceed every swept grid size")
+        assert f"reference_N={reference_N}, largest N={threshold}" in err
+        assert not out.exists()
+
 
 class TestSimulateEstimate:
     def solved_model(self, tmp_path):
@@ -585,6 +603,91 @@ class TestParserReuse:
             main(["solve", real, "--tol", "tight"])
         assert exc.value.code == 2
         assert cli.build_parser() is cli.build_parser()
+
+
+# The flags each command reads, out of those more than one command takes.
+READ_FLAGS = {
+    "solve": {"--out", "--tol", "--max-iter"},
+    "maxent": {"--out", "--tol", "--max-iter"},
+    "approx": {"--out", "--tol", "--max-iter"},
+    "cepstral": {"--out", "--tol", "--max-iter", "--lambda"},
+    "simulate": {"--out", "--seed"},
+    "estimate": {"--out"},
+    "check": {"--out"},
+}
+# flag: (value given, argument name, value parsed)
+SHARED_FLAGS = {
+    "--out": ("dir", "out", "dir"),
+    "--tol": ("1e-6", "tol", 1e-6),
+    "--max-iter": ("7", "max_iter", 7),
+    "--lambda": ("0.5", "regularization", 0.5),
+    "--seed": ("3", "seed", 3),
+}
+# every flag a command takes, as its --help lists it
+HELP_FLAGS = {
+    "cepstral": READ_FLAGS["cepstral"] | {"--lambda-sweep"},
+    "simulate": READ_FLAGS["simulate"] | {"--count", "--real"},
+    "estimate": READ_FLAGS["estimate"] | {"--degree", "--cepstral", "--no-smoothing"},
+}
+
+
+def required(command):
+    """The arguments command needs besides its flags."""
+    return ["source", "--degree", "1"] if command == "estimate" else ["source"]
+
+
+class TestFlagSurface:
+    """Each command takes exactly the flags its handler reads."""
+
+    @pytest.mark.parametrize("flag", sorted(SHARED_FLAGS))
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_shared_flag(self, tmp_path, capsys, monkeypatch, command, flag):
+        seen = []
+        monkeypatch.setitem(cli.HANDLERS, command, lambda args: seen.append(args) or 0)
+        given, dest, parsed = SHARED_FLAGS[flag]
+        if flag in READ_FLAGS[command]:
+            assert main([command, *required(command), flag, given]) == 0
+            assert getattr(seen[0], dest) == parsed
+            return
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required(command), "--out", str(out), flag, given])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {given}" in capsys.readouterr().err
+        assert not seen
+        assert not out.exists()
+
+    def test_lambda_excludes_lambda_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran")
+
+        monkeypatch.setattr(cli, "joint_solve", no_solve)
+        problem = os.path.join(FIXTURES, "joint_problem.json")
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["cepstral", problem, "--out", str(out), "--lambda", "0.1", "--lambda-sweep", "1"])
+        assert exc.value.code == 2
+        assert "--lambda-sweep: not allowed with argument --lambda" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_examples_parse(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+        assert {argv[1] for argv in lines} == set(READ_FLAGS)
+        for argv in lines:
+            assert argv[0] == "circext"
+            cli.build_parser().parse_args(argv[1:])
+
+    @pytest.mark.parametrize("command", sorted(READ_FLAGS))
+    def test_help_lists_exactly_the_flags_taken(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+        assert listed == HELP_FLAGS.get(command, READ_FLAGS[command]) | {"--help"}
 
 
 class TestOutputDirectory:
