@@ -19,13 +19,13 @@ deficiency that the flat start (P and Q both constant) exhibits at
 lambda = 0.  Each iteration transforms all the weights that its gradient and
 Hessian need in one batched FFT.  The public joint_value/joint_gradient/
 joint_hessian evaluate the objective and derivative functions that the
-driver runs.
+driver runs.  `lambda_path` is the one loop over weights, each warm-started.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,11 +201,11 @@ def joint_solve(
     """Newton iteration for the joint problem at the stored regularization.
 
     `initial` optionally seeds the iteration with a (p, q) pair, for example
-    the symbols of a solve at a larger regularization.  Raises
-    BoundaryCollapseError when a symbol is forced to the positivity floor; at
-    lambda = 0 that commonly means the cepstral targets demand a spectral
-    zero, and rerunning with a small positive regularization is the
-    recommended fallback.
+    the symbols of a solve at a larger regularization, as `lambda_path` passes
+    them.  Raises BoundaryCollapseError when a symbol is forced to the
+    positivity floor; at lambda = 0 that commonly means the cepstral targets
+    demand a spectral zero, and rerunning with a small positive
+    regularization is the recommended fallback.
     """
     opts = opts or SolverOptions()
     grid, n = prob.grid, prob.n
@@ -286,10 +286,22 @@ def epsilon_report(report: JointReport, tol: float = 1e-8) -> np.ndarray:
     return adjusted
 
 
+def lambda_path(
+    prob: JointProblem, weights, opts: SolverOptions | None = None
+) -> list[JointReport]:
+    """Reports of `prob` at weights given largest first, each from the last (p, q)."""
+    reports = []
+    for lam in weights:
+        seed = (reports[-1].p, reports[-1].q) if reports else None
+        stage = replace(prob, regularization=lam)
+        reports.append(joint_solve(stage, opts, initial=seed))
+    return reports
+
+
 def continuation_solve(
     prob: JointProblem, opts: SolverOptions | None = None, start: float = 1.0
 ) -> JointReport:
-    """Solve a chain of decreasing regularizations, warm-starting each stage.
+    """Solve a chain of decreasing regularizations along `lambda_path`.
 
     Stages shrink geometrically from `start` (a tenth per stage) and finish
     at the problem's stored regularization exactly.  Useful near the boundary
@@ -306,9 +318,4 @@ def continuation_solve(
         lams.append(lam)
         lam /= 10.0
     lams.append(target)
-    report = None
-    for lam in lams:
-        stage = JointProblem(prob.grid, prob.c, prob.m, regularization=lam)
-        seed = None if report is None else (report.p, report.q)
-        report = joint_solve(stage, opts, initial=seed)
-    return report
+    return lambda_path(prob, lams, opts)[-1]

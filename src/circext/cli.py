@@ -36,6 +36,7 @@ from .cepstral import (
     DEFAULT_REGULARIZATION,
     JointProblem,
     joint_solve,
+    lambda_path,
 )
 from .circulant import constant_symbol, eval_symbol
 from .dual import (
@@ -146,13 +147,13 @@ def run_cepstral(args) -> int:
             raise InputFormatError(f"--lambda-sweep: {exc}") from exc
         if not lams or not all(0 < x < np.inf for x in lams):
             raise InputFormatError("--lambda-sweep needs positive finite comma-separated values")
-        rows = []
-        for stage_lam in lams:
-            report = joint_solve(
-                JointProblem(spec.grid, spec.c, spec.m, stage_lam), opts
-            )
+        weights = sorted(set(lams), reverse=True)
+        prob = JointProblem(spec.grid, spec.c, spec.m, weights[0])
+        deviation = {}
+        for report in lambda_path(prob, weights, opts):
             pv = eval_symbol(report.p, spec.grid).real_values()
-            rows.append((stage_lam, float(np.max(np.abs(pv - 1.0)))))
+            deviation[report.regularization] = float(np.max(np.abs(pv - 1.0)))
+        rows = [(x, deviation[x]) for x in lams]
         fileio.write_csv(
             _out_path(args, "lambda_sweep.csv"), "lambda,p_deviation", rows
         )

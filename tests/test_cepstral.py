@@ -1,5 +1,7 @@
 """Joint covariance/cepstral matching and its regularized variant."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,11 @@ from circext import (
     maxent_solve,
 )
 from circext import cepstral
+from circext.fileio import load_problem
 
 from conftest import make_rng, random_positive_symbol, symbol_distance
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
 def normalized_positive(rng, n, grid, floor=0.25):
@@ -387,6 +392,23 @@ class TestContinuation:
             continuation_solve(prob, start=0.0)
         with pytest.raises(ValueError):
             continuation_solve(prob, start=1e-3)
+
+
+class TestLambdaPath:
+    def test_warm_stages_match_cold_solves(self):
+        spec = load_problem(os.path.join(FIXTURES, "joint_problem.json"))
+        prob = JointProblem(spec.grid, spec.c, spec.m)
+        weights = (1.0, 0.5, 0.1, 0.01)
+        reports = cepstral.lambda_path(prob, weights)
+        assert [r.regularization for r in reports] == list(weights)
+        for k, (lam, report) in enumerate(zip(weights, reports)):
+            cold = joint_solve(JointProblem(spec.grid, spec.c, spec.m, lam))
+            if k == 0:
+                # the first stage is the cold solve itself
+                np.testing.assert_array_equal(report.p.coeffs, cold.p.coeffs)
+                np.testing.assert_array_equal(report.q.coeffs, cold.q.coeffs)
+            assert symbol_distance(report.p, cold.p) <= 1e-8
+            assert symbol_distance(report.q, cold.q) <= 1e-8
 
 
 class TestValidation:

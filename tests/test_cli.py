@@ -307,6 +307,20 @@ class TestCepstral:
         assert np.all(np.diff(rows[:, 1]) < 0)
         assert rows[-1, 1] <= 0.01
 
+    def test_lambda_sweep_runs_warm_from_the_largest_weight(self, tmp_path, capsys):
+        # solved cold, the weight 0.001 spends its iteration budget on this
+        # perturbed N = 512 instance; from the solve at 0.01 it converges
+        problem = os.path.join(FIXTURES, "sweep_problem.json")
+        out = tmp_path / "o"
+        code = main(
+            ["cepstral", problem, "--out", str(out), "--lambda-sweep", "0.001,1,0.01,0.1"]
+        )
+        assert code == 0
+        rows = read_csv(out / "lambda_sweep.csv")
+        np.testing.assert_array_equal(rows[:, 0], [0.001, 1.0, 0.01, 0.1])
+        by_weight = rows[np.argsort(rows[:, 0])[::-1], 1]
+        assert np.all(np.diff(by_weight) > 0)
+
     def test_sweep_validation(self, tmp_path, capsys):
         data = {"version": 1, "N": 8, "c": [[1.0, 0.0], [0.3, 0.0]], "m": [[0.05, 0.0]]}
         problem = write_problem(tmp_path, data)
@@ -327,6 +341,7 @@ class TestCepstral:
             raise AssertionError("a solve ran before the weights were checked")
 
         monkeypatch.setattr(cli, "joint_solve", no_solve)
+        monkeypatch.setattr(cli, "lambda_path", no_solve)
         problem = os.path.join(FIXTURES, "joint_problem.json")
         out = tmp_path / "o"
         assert main(["cepstral", problem, "--out", str(out), *flags]) == 1
@@ -662,6 +677,7 @@ class TestFlagSurface:
             raise AssertionError("a solve ran")
 
         monkeypatch.setattr(cli, "joint_solve", no_solve)
+        monkeypatch.setattr(cli, "lambda_path", no_solve)
         problem = os.path.join(FIXTURES, "joint_problem.json")
         out = tmp_path / "o"
         with pytest.raises(SystemExit) as exc:
@@ -849,7 +865,7 @@ class TestAnyInputFile:
     @given(data=st.data())
     def test_exit_code(self, command, data):
         document = data.draw(documents(command), label="input")
-        flag = data.draw(st.booleans(), label="--real or --cepstral")
+        flag = data.draw(st.booleans(), label="--real, --cepstral or --lambda-sweep")
         with tempfile.TemporaryDirectory() as tmp:
             path = target = os.path.join(tmp, "input.json")
             extra = []
@@ -865,6 +881,11 @@ class TestAnyInputFile:
                     fio.write_realization_csv(os.path.join(path, name), y)
                 extra = ["--degree", str(data.draw(st.integers(-1, 4), label="--degree"))]
                 extra += ["--cepstral"] if flag else []
+            if command == "cepstral" and flag:
+                # the = form, so that a weight such as -1e+300 is not read as an option
+                weights = data.draw(st.lists(number(1e-6, 1.0), min_size=1, max_size=3),
+                                    label="--lambda-sweep")
+                extra = ["--lambda-sweep=" + ",".join(map(repr, weights))]
             with open(target, "w") as fh:
                 json.dump(document, fh)
             code = main([command, path, "--out", os.path.join(tmp, "out"), *extra])
