@@ -159,26 +159,18 @@ def convergence_sweep(
     for N in grid_sizes:
         grid = DiscreteGrid(N)
         started = time.perf_counter()
-        cert = feasibility_certificate(c, grid)
-        if not cert.feasible:
-            report.stages.append(SweepStage(N=N, feasible=False))
+        stage = SweepStage(N=N, feasible=feasibility_certificate(c, grid).feasible)
+        report.stages.append(stage)
+        if not stage.feasible:
             continue
         try:
             sol = newton_solve(DualProblem(grid, c, p), opts)
         except Exception as exc:    # keep sweeping; record what failed
-            report.stages.append(SweepStage(N=N, feasible=True, error=str(exc)))
+            stage.error = str(exc)
             continue
-        elapsed_ms = 1e3 * (time.perf_counter() - started)
-        dist = float(np.max(np.abs(sol.q.coeffs - ref.q.coeffs)))
-        report.stages.append(
-            SweepStage(
-                N=N,
-                feasible=True,
-                distance=dist,
-                iterations=sol.iterations,
-                runtime_ms=elapsed_ms,
-            )
-        )
+        stage.runtime_ms = 1e3 * (time.perf_counter() - started)
+        stage.distance = float(np.max(np.abs(sol.q.coeffs - ref.q.coeffs)))
+        stage.iterations = sol.iterations
 
     # distances that sit at the floating-point floor count as ties, so a
     # fully converged tail is not flagged non-monotone on rounding jitter

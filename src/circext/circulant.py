@@ -114,7 +114,6 @@ def symbol_from_samples(s: SpectrumSamples, n: int) -> SymmetricPseudoPolynomial
         raise ValueError(f"requested degree {n} outside [0, N={grid.N}]")
     vals = s.real_values()
     coeffs = moment_vector(grid.angles, vals, n)
-    coeffs[0] = coeffs[0].real
     if n == grid.N:
         coeffs[n] = coeffs[n].real
     return SymmetricPseudoPolynomial(coeffs)

@@ -270,19 +270,17 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     opts = opts or SolverOptions()
     grid, n = prob.grid, prob.n
     pv = prob.p_samples.values.real
+    coeffs = np.zeros(n + 1, dtype=complex)
     if opts.initial_q is not None:
         q0 = opts.initial_q
         if q0.degree > n:
             raise ValueError(f"initial_q degree {q0.degree} exceeds lag count {n}")
-        coeffs = np.zeros(n + 1, dtype=complex)
         coeffs[: q0.degree + 1] = q0.coeffs
-        v = coeffs_to_real(coeffs)
     else:
-        v = np.zeros(2 * n + 1)
-        v[0] = float(np.mean(pv)) / prob.c.c[0].real
+        coeffs[0] = float(np.mean(pv)) / prob.c.c[0].real
     B = trig_basis(grid.angles, n)
     v, qv, (gc,), _, iterations, trace = _damped_newton(
-        v,
+        coeffs_to_real(coeffs),
         lambda w: w @ B,
         functools.partial(_dual_objective, prob),
         functools.partial(_dual_derivatives, prob),

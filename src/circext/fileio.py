@@ -70,14 +70,12 @@ def _emit(obj, indent: int = 0) -> str:
             return "[" + ", ".join(_emit(x) for x in seq) + "]"
         items = [f"{inner}{_emit(x, indent + 2)}" for x in seq]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, str)) or obj is None:    # before int: bool subclasses int
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

@@ -33,15 +33,17 @@ def _standard_normals(rng, shape):
     return radius * np.cos(2.0 * np.pi * u[..., 1]), radius * np.sin(2.0 * np.pi * u[..., 1])
 
 
-def _spectral_draws(phi: SpectrumSamples, count, rng, real_valued):
-    """Independent transform-domain draws with E|yhat_j|^2 = 2N Phi_j, shape (count, 2N)."""
+def _spectral_draws(phi: SpectrumSamples, count, seed, real_valued):
+    """Independent spectral draws, E|yhat_j|^2 = 2N Phi_j, shape (count >= 1, 2N), from default_rng(seed)."""
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     grid = phi.grid
     vals = phi.real_values()
     refuse_nodes(grid, vals, vals < 0.0, "spectrum sample is negative")
     scale = np.sqrt(grid.size * vals)
     if real_valued and not is_hermitian_even(grid, vals, REAL_TOL):
         raise ValueError("a real-valued process needs an even spectrum")
-    z1, z2 = _standard_normals(rng, (count, grid.size))
+    z1, z2 = _standard_normals(np.random.default_rng(seed), (count, grid.size))
     out = scale * (z1 + 1j * z2) / np.sqrt(2.0)
     if real_valued:
         # j = 1 ... N-1 at positions N ... 2N-2 mirror onto -j at 2N-2 ... 0;
@@ -65,10 +67,7 @@ def sample_realizations(
     With real_valued=True the transform draws are constrained to Hermitian
     symmetry (requires an even spectrum) and the rows come out real.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    rng = np.random.default_rng(seed)
-    y = _transform(_spectral_draws(phi, count, rng, real_valued), inverse=True)
+    y = _transform(_spectral_draws(phi, count, seed, real_valued), inverse=True)
     return y.real.copy() if real_valued else y
 
 
@@ -112,7 +111,7 @@ def estimate_covariances(
         raise ValueError(f"need 0 <= n <= N, got n={n}")
     # the k-th moment of a periodogram is the cyclic sample covariance at lag k
     acc = moment_vector(grid.angles, _periodograms(y, grid).mean(axis=0), n)
-    return CovarianceSequence(np.concatenate(([acc[0].real], acc[1:])))
+    return CovarianceSequence(acc)
 
 
 def estimate_cepstra(
@@ -157,12 +156,9 @@ def conjugacy_check(phi: SpectrumSamples, count: int, seed: int | None = None) -
     expectation; the return value is the sup-norm deviation of the estimate,
     which shrinks like one over the square root of count.
     """
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
     grid = phi.grid
     vals = require_positive(grid, phi.real_values(), "spectrum")
-    rng = np.random.default_rng(seed)
-    draws = _spectral_draws(phi, count, rng, real_valued=False)
+    draws = _spectral_draws(phi, count, seed, real_valued=False)
     y = _transform(draws, inverse=True)
     e = _transform(draws / vals, inverse=True)
     cross = e.T @ np.conj(y) / count

@@ -1,10 +1,13 @@
 """Feasibility threshold search and grid-refinement convergence."""
 
+import json
+
 import numpy as np
 import pytest
 
 from circext import (
     CovarianceSequence,
+    MaxIterationsError,
     NotInOuterCone,
     SymmetricPseudoPolynomial,
     ThresholdNotFound,
@@ -13,6 +16,9 @@ from circext import (
     default_schedule,
     find_threshold,
 )
+from circext import approx
+from circext import fileio as fio
+from circext.cli import main
 
 AWKWARD = CovarianceSequence([1.0, 0.0, -0.95])
 
@@ -135,3 +141,48 @@ class TestSweep:
         distances = [s.distance for s in report.stages]
         assert report.eventually_decreasing
         assert distances[-1] < distances[0]
+
+
+class TestFailedStage:
+    """A grid whose solve raises is recorded with its error and skipped."""
+
+    C = CovarianceSequence([1.0, 0.4])
+    SIZES = [4, 8, 16]
+
+    @pytest.fixture(autouse=True)
+    def fail_at_eight(self, monkeypatch):
+        solve = approx.newton_solve
+
+        def newton_solve(prob, opts=None):
+            if prob.grid.N == 8:
+                raise MaxIterationsError("no convergence at N=8", 1.0, None)
+            return solve(prob, opts)
+
+        monkeypatch.setattr(approx, "newton_solve", newton_solve)
+
+    def test_sweep_records_the_error(self):
+        report = convergence_sweep(self.C, self.SIZES, reference_N=64)
+        assert [s.N for s in report.stages] == self.SIZES
+        failed = report.stages[1]
+        assert failed.feasible and failed.error == "no convergence at N=8"
+        assert (failed.distance, failed.iterations, failed.runtime_ms) == (None, None, None)
+        for stage in (report.stages[0], report.stages[2]):
+            assert stage.error is None
+            assert None not in (stage.distance, stage.iterations, stage.runtime_ms)
+        assert report.eventually_decreasing
+
+    def test_command_writes_the_error_only_to_approx_json(self, tmp_path):
+        config = tmp_path / "config.json"
+        fio.dump_json(
+            {"version": 1, "c": [[1.0, 0.0], [0.4, 0.0]], "n_max": 64,
+             "grid_sizes": self.SIZES, "reference_N": 64},
+            str(config),
+        )
+        out = tmp_path / "o"
+        assert main(["approx", str(config), "--out", str(out)]) == 0
+        stages = json.loads((out / "approx.json").read_text())["stages"]
+        assert stages[1] == {"N": 8, "feasible": True, "error": "no convergence at N=8"}
+        sweep = np.loadtxt(out / "sweep.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert sweep[:, 0].tolist() == [4, 16]
+        timings = json.loads((out / "run.json").read_text())["timings"]["stages"]
+        assert [t["N"] for t in timings] == [4, 16]

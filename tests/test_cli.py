@@ -1,7 +1,11 @@
 """End-to-end command line runs, exit codes, and file-level reproducibility."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
+import pathlib
 import re
 import shlex
 import tempfile
@@ -769,6 +773,76 @@ class TestOutputDirectory:
         assert sorted(record["outputs"] + ["run.json"]) == sorted(os.listdir(out))
 
 
+
+# label: (command, fixture, extra flags); `estimate` reads the ensemble that
+# `simulate --count 8 --seed 3` writes from sim_model.json
+CENSUS_RUNS = {
+    "check": ("check", "ar1_problem.json", []),
+    "solve": ("solve", "ar1_problem.json", []),
+    "maxent": ("maxent", "ar1_problem.json", []),
+    "cepstral": ("cepstral", "joint_problem.json", []),
+    "cepstral-lambda-0": ("cepstral", "joint_problem.json", ["--lambda", "0"]),
+    "cepstral-sweep": ("cepstral", "joint_problem.json", ["--lambda-sweep", "1,0.5,0.1,0.01"]),
+    "cepstral-sweep-unordered": (
+        "cepstral", "sweep_problem.json", ["--lambda-sweep", "0.001,1,0.01,0.1"]
+    ),
+    "cepstral-cold-small-lambda": ("cepstral", "sweep_problem.json", ["--lambda", "0.001"]),
+    "approx": ("approx", "approx_config.json", []),
+    "simulate": ("simulate", "sim_model.json", ["--count", "8", "--seed", "3"]),
+    "simulate-real": ("simulate", "sim_model.json", ["--count", "8", "--seed", "3", "--real"]),
+    "estimate-cepstral": ("estimate", "sim_model.json", ["--degree", "1", "--cepstral"]),
+    "estimate": ("estimate", "sim_model.json", ["--degree", "2"]),
+}
+CENSUS = os.path.join(os.path.dirname(__file__), "golden", "cli_census.json")
+
+
+def census_entry(label, tmp_path):
+    """Exit code, stdout, stderr and the SHA-256 of every output but run.json of one run."""
+    command, source, extra = CENSUS_RUNS[label]
+    source = os.path.join(FIXTURES, source)
+    if command == "estimate":
+        ensemble = str(tmp_path / "ensemble")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", source, "--count", "8", "--seed", "3", "--out", ensemble]) == 0
+        source = ensemble
+    out = tmp_path / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, source, "--out", str(out), *extra])
+    outputs = sorted(out.iterdir()) if out.is_dir() else []
+    files = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in outputs if path.name != "run.json"
+    }
+    return {"exit": code, "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "files": files}
+
+
+def write_census():
+    """Record every census run in tests/golden/cli_census.json."""
+    census = {}
+    for label in CENSUS_RUNS:
+        with tempfile.TemporaryDirectory() as tmp:
+            census[label] = census_entry(label, pathlib.Path(tmp))
+    with open(CENSUS, "w", encoding="utf-8") as fh:
+        json.dump(census, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+class TestOutputCensus:
+    """Each listed command gives the exit code, messages and output bytes on record.
+
+    The record covers every output file except run.json.  A change that means
+    to alter these outputs rewrites the record with `PYTHONPATH=src python
+    tests/test_cli.py` and says so.
+    """
+
+    @pytest.mark.parametrize("label", list(CENSUS_RUNS))
+    def test_matches_the_record(self, tmp_path, label):
+        with open(CENSUS, encoding="utf-8") as fh:
+            expected = json.load(fh)[label]
+        assert census_entry(label, tmp_path) == expected
+
+
 # Generated input files: well-formed documents, with some fields dropped or
 # replaced by any JSON value (wrong types, bools, nested lists), stray keys
 # added, and numbers that are often extreme (+-1e300, any float or integer).
@@ -890,3 +964,7 @@ class TestAnyInputFile:
                 json.dump(document, fh)
             code = main([command, path, "--out", os.path.join(tmp, "out"), *extra])
         assert code in (0, 1, 2, 3)
+
+
+if __name__ == "__main__":
+    write_census()

@@ -270,6 +270,19 @@ class TestConjugacy:
         with pytest.raises(ValueError):
             conjugacy_check(SpectrumSamples(grid, values), 10, seed=1)
 
+    def test_count_must_be_positive(self):
+        grid, report = ar_model()
+        with pytest.raises(ValueError, match="count must be at least 1, got 0"):
+            conjugacy_check(report.phi, 0, seed=1)
+
+    def test_spectrum_is_checked_before_the_count(self):
+        # the sampler refuses a count below one; the spectrum is refused first
+        grid = DiscreteGrid(4)
+        values = np.ones(grid.size)
+        values[1] = 0.0
+        with pytest.raises(ValueError, match="spectrum sample is not positive at node j=-2: 0.0"):
+            conjugacy_check(SpectrumSamples(grid, values), 0, seed=1)
+
 
 class TestClosedLoop:
     def test_identification_recovers_the_model(self):
