@@ -7,7 +7,8 @@ prices all columns at once by the reduced costs obj - y A: Dantzig's rule, or
 Bland's (smallest improving index) after more than m degenerate pivots in a
 row until the objective moves, which rules out cycling.  Ratio ties go to the
 smallest basis index.  At the optimum, xb and y are solved from the final
-basis, and y solves  min b . y  over  y A >= obj.
+basis, and y solves  min b . y  over  y A >= obj.  A pivot's time goes to one
+O(m n) pricing product y A and an O(m) ratio test on Python floats.
 """
 
 from __future__ import annotations
@@ -38,35 +39,32 @@ def _pivot_until_optimal(A, b, cost, basis, max_pivots):
     products can cycle, the rest of the phase solves three systems with B.
     """
     m = basis.size
-    scale = m * np.abs(A).max(initial=0.0)
+    scale, B, cb = m * np.abs(A).max(initial=0.0), A[:, basis], cost[basis]
     stalled, solving = 0, False
     for pivots in range(max_pivots + 1):
-        B = A[:, basis]
         if not solving and pivots % max(m, 1) == 0:
             inv = np.linalg.inv(B)
             solving = scale * np.abs(inv).max(initial=0.0) > 1e3
-        if solving:
-            xb, y = np.linalg.solve(B, b), np.linalg.solve(B.T, cost[basis])
-        else:
-            xb, y = inv @ b, cost[basis] @ inv
+        y = np.linalg.solve(B.T, cb) if solving else cb @ inv
         reduced = cost - y @ A
         reduced[basis] = 0.0    # exact for basic columns, which rounding could make re-enter
         entering = int((reduced > PRICE_TOL if stalled > m else reduced).argmax())
         if reduced[entering] <= PRICE_TOL:
-            return np.linalg.solve(B, b), np.linalg.solve(B.T, cost[basis]), pivots
+            return np.linalg.solve(B, b), np.linalg.solve(B.T, cb), pivots
         if pivots == max_pivots:
             break
-        d = np.linalg.solve(B, A[:, entering]) if solving else inv @ A[:, entering]
-        rows = (d > PIVOT_TOL).nonzero()[0]
-        if rows.size == 0:
+        col = A[:, entering]
+        xb, d = (np.linalg.solve(B, b), np.linalg.solve(B, col)) if solving else (inv @ b, inv @ col)
+        dl = d.tolist()
+        ratios = [(max(x, 0.0) / di, i) for i, (x, di) in enumerate(zip(xb.tolist(), dl)) if di > PIVOT_TOL]
+        if not ratios:
             return None
-        ratios = np.maximum(xb[rows], 0.0) / d[rows]
-        ties = rows[(ratios - ratios.min()) * d[rows] <= RATIO_TOL]
-        stalled = stalled + 1 if ratios.min() <= RATIO_TOL else 0
-        leaving = ties[basis[ties].argmin()]
-        basis[leaving] = entering
+        low = min(ratios)[0]
+        stalled = stalled + 1 if low <= RATIO_TOL else 0
+        leaving = min([(basis[i], i) for r, i in ratios if (r - low) * dl[i] <= RATIO_TOL])[1]
+        basis[leaving], cb[leaving], B[:, leaving] = entering, cost[entering], col
         if not solving:
-            row = inv[leaving] / d[leaving]
+            row = inv[leaving] / dl[leaving]
             inv -= d[:, None] * row
             inv[leaving] = row
     raise RuntimeError(PIVOT_BUDGET_MESSAGE)
@@ -77,7 +75,7 @@ def _simplex(obj, A, b, max_pivots: int = 20000):
 
     y has one multiplier per row of A, zero on rows dropped as redundant,
     with y A >= obj within PRICE_TOL and b . y = value; pivots counts both
-    phases, each of which may take max_pivots.
+    phases, each of which may take max_pivots >= 0.
     """
     A = np.array(A, dtype=float)
     b = np.array(b, dtype=float)
@@ -85,6 +83,8 @@ def _simplex(obj, A, b, max_pivots: int = 20000):
     m, n = A.shape
     if b.shape != (m,) or obj.shape != (n,):
         raise ValueError("inconsistent LP dimensions")
+    if max_pivots < 0:
+        raise ValueError(f"the pivot budget must be nonnegative, got {max_pivots}")
     if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(obj).all()):
         raise ValueError("LP data must be finite")
     sign = np.where(b < 0, -1.0, 1.0)
@@ -128,6 +128,7 @@ def simplex_maximize(obj, A, b, max_pivots: int = 20000):
 
     Raises InfeasibleError when phase one cannot zero the artificials,
     UnboundedError when phase two finds an improving ray, and RuntimeError
-    with PIVOT_BUDGET_MESSAGE when a phase needs more than max_pivots pivots.
+    with PIVOT_BUDGET_MESSAGE when a phase needs more than max_pivots pivots;
+    ValueError for a negative max_pivots, before any pivot.
     """
     return _simplex(obj, A, b, max_pivots)[:2]

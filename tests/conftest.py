@@ -62,20 +62,27 @@ def line_lags(rng, n):
     return c
 
 
-def arma_lags(rng, n, N, real):
-    """Lags 0 ... n of |a|^2 / |b|^2 on the grid, zeros within 0.5 and poles within 0.7."""
+def model_lags(zeros, poles, n, N):
+    """Lags 0 ... n of |a|^2 / |b|^2 for the given roots, from its 2N node values."""
     zeta = np.exp(1j * np.pi * np.arange(-N + 1, N + 1) / N)
 
-    def power(radius):
+    def power(roots):
+        return np.abs(np.prod(1.0 - np.asarray(roots, dtype=complex)[:, None] * zeta, axis=0)) ** 2
+
+    phi = power(zeros) / power(poles)
+    return np.array([np.mean(phi * zeta**k) for k in range(n + 1)])
+
+
+def arma_lags(rng, n, N, real):
+    """Lags 0 ... n of |a|^2 / |b|^2 on the grid, zeros within 0.5 and poles within 0.7."""
+
+    def roots(radius):
         if real:
             pairs = rng.uniform(0.2, radius, n // 2) * np.exp(1j * rng.uniform(0.1, 3.0, n // 2))
-            roots = np.concatenate((pairs, np.conj(pairs), rng.uniform(-radius, radius, n % 2)))
-        else:
-            roots = rng.uniform(0.2, radius, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
-        return np.abs(np.prod(1.0 - roots[:, None] * zeta[None, :], axis=0)) ** 2
+            return np.concatenate((pairs, np.conj(pairs), rng.uniform(-radius, radius, n % 2)))
+        return rng.uniform(0.2, radius, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
 
-    phi = power(0.5) / power(0.7)
-    return np.array([np.mean(phi * zeta**k) for k in range(n + 1)])
+    return model_lags(roots(0.5), roots(0.7), n, N)
 
 
 def dft_loop(grid, coefficients):

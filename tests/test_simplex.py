@@ -1,5 +1,9 @@
 """Revised two-phase simplex and its dual multipliers against an independent LP solver."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -143,6 +147,14 @@ class TestCycling:
     def test_pivot_budget(self):
         with pytest.raises(RuntimeError) as info:
             simplex_maximize(BEALE_OBJ, BEALE_A, BEALE_B, max_pivots=1)
+        assert str(info.value) == PIVOT_BUDGET_MESSAGE
+
+    def test_negative_pivot_budget_is_refused(self):
+        # a budget below zero is a caller's error, not an undecided LP
+        with pytest.raises(ValueError, match="pivot budget must be nonnegative, got -1"):
+            simplex_maximize(BEALE_OBJ, BEALE_A, BEALE_B, max_pivots=-1)
+        with pytest.raises(RuntimeError) as info:
+            simplex_maximize(BEALE_OBJ, BEALE_A, BEALE_B, max_pivots=0)
         assert str(info.value) == PIVOT_BUDGET_MESSAGE
 
 
@@ -295,3 +307,88 @@ class TestBasisInverse:
         # phases that end on a refresh compare a fresh inverse with itself;
         # on average at least one phase per certificate ends after updates
         assert sum(k > 0 for k in updates) >= len(CERTIFICATE_CASES)
+
+
+# The degree-5 lags whose certificate at N = 1024 runs in every cycle of the
+# certify benchmark, where it once exhausted the pivot budget.
+FAULT_C = [1.0, 0.5, 0.2 + 0.1j, 0.05, 0.02, 0.01]
+# Certificates on the record that take the two rare branches of the pivot
+# loop, found by counting them once: BLAND_CASE prices by Bland's rule for 32
+# pivots after degenerate stalls, and THREE_SOLVE_CASE meets a basis inverse
+# too large to update and solves three systems at each later pivot.
+BLAND_CASE = ("real", 1, 1024)
+THREE_SOLVE_CASE = ("line", 3, 64)
+LP_RECORD = os.path.join(os.path.dirname(__file__), "golden", "certificate_census.json")
+
+
+def digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def certificate_entry(c, N):
+    """Pivots, verdict, margin and the digests of the witness and dual bytes of one certificate."""
+    cert = feasibility_certificate(CovarianceSequence(c), DiscreteGrid(N))
+    return {
+        "pivots": cert.pivots,
+        "feasible": cert.feasible,
+        "margin": repr(cert.margin),
+        "witness": None if cert.witness is None else digest(cert.witness.values),
+        "dual": digest(cert.dual.coeffs),
+    }
+
+
+def lp_entry(obj, A, b):
+    x, value, y, pivots = _simplex(obj, A, b)
+    return {"pivots": pivots, "value": repr(value), "x": digest(x), "y": digest(y)}
+
+
+def record_runs():
+    """Label -> (entry function, its arguments) for every run on the record."""
+    runs = {
+        f"{kind} n={n} N={N}": (certificate_entry, (certificate_lags(kind, n, N).c, N))
+        for kind, n, N in CERTIFICATE_CASES
+    }
+    runs["fault n=5 N=1024"] = (certificate_entry, (FAULT_C, 1024))
+    runs.update({f"lp {i}": (lp_entry, lp) for i, lp in enumerate(random_bounded_lps())})
+    return runs
+
+
+def write_record():
+    """Record every run in tests/golden/certificate_census.json."""
+    record = {label: entry(*args) for label, (entry, args) in record_runs().items()}
+    with open(LP_RECORD, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+class TestLPRecord:
+    """Each certificate and LP takes the pivots and gives the bits on record.
+
+    A change that means to alter a pivot sequence or the rounding of any
+    output rewrites the record with `PYTHONPATH=src python
+    tests/test_simplex.py` and says so.
+    """
+
+    RUNS = record_runs()
+
+    @pytest.mark.parametrize("label", list(RUNS))
+    def test_matches_the_record(self, label):
+        with open(LP_RECORD, encoding="utf-8") as fh:
+            expected = json.load(fh)[label]
+        entry, args = self.RUNS[label]
+        assert entry(*args) == expected
+
+    def test_record_covers_both_rare_branches(self, monkeypatch):
+        assert {"%s n=%d N=%d" % case for case in (BLAND_CASE, THREE_SOLVE_CASE)} <= set(self.RUNS)
+        # the updated-inverse path solves with B twice to close each phase and
+        # once per leftover artificial, of which there are at most 2n; the
+        # three-solve path solves three times at every pivot
+        solves, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+        kind, n, N = THREE_SOLVE_CASE
+        feasibility_certificate(certificate_lags(kind, n, N), DiscreteGrid(N))
+        assert len(solves) > 4 + 2 * n
+
+
+if __name__ == "__main__":
+    write_record()
