@@ -12,10 +12,10 @@ explicit nonnegative correction epsilon_k for lambda > 0.  The lambda term
 repels P from the boundary, trading cepstral accuracy for robustness.
 
 Optimization runs over the 4n+1 free real parameters (all of Q, P minus its
-pinned constant) with the damped Newton driver of the dual module,
-`dual._damped_newton`.  P starts at one and Q at the maximum-entropy
-denominator for c, which keeps the initial Hessian away from the rank
-deficiency that the flat start (P and Q both constant) exhibits at
+pinned constant) with the dual module's damped Newton driver.  P starts at
+one and Q at the maximum-entropy denominator for c, from newton_solve's
+iteration on the same trig basis; this keeps the initial Hessian away from
+the rank deficiency that the flat start (P and Q both constant) exhibits at
 lambda = 0.  Each iteration transforms all the weights that its gradient and
 Hessian need in one batched FFT.  The public joint_value/joint_gradient/
 joint_hessian evaluate the objective and derivative functions that the
@@ -29,15 +29,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circulant import SymmetricPseudoPolynomial
+from .circulant import SymmetricPseudoPolynomial, constant_symbol
 from .dual import (
+    DualProblem,
     IterationRecord,
     MaxIterationsError,
     SolverOptions,
     _collapse,
     _damped_newton,
+    _newton,
     _symbol_samples,
-    maxent_solve,
 )
 from .grid import DiscreteGrid, SpectrumSamples
 from .kernels import (
@@ -127,9 +128,9 @@ def _joint_objective(prob: JointProblem, u: np.ndarray, s: np.ndarray) -> float:
     pv, qv = s
     value = pairing(prob.c.c, real_to_coeffs(u[:size]))
     value -= pairing(prob.m.with_zero(), real_to_coeffs(np.concatenate(([1.0], u[size:]))))
-    value += float(np.mean(pv * np.log(pv / qv)))
+    value += float(np.add.reduce(pv * np.log(pv / qv))) / pv.size
     if lam:
-        value -= lam * float(np.mean(np.log(pv)))
+        value -= lam * (float(np.add.reduce(np.log(pv))) / pv.size)
     return value
 
 
@@ -212,7 +213,6 @@ def joint_solve(
     lam = prob.regularization
     size = 2 * n + 1
     B = trig_basis(grid.angles, n)
-    Bp = B[1:]
     scale = max(1.0, prob.c.sup_norm(), float(np.max(np.abs(prob.m.m), initial=0.0)))
 
     if initial is not None:
@@ -221,8 +221,8 @@ def joint_solve(
     else:
         # P = 1 flat, Q from plain covariance matching: a strictly interior
         # pair whose Hessian is nonsingular even without regularization
-        base = maxent_solve(prob.c, grid, SolverOptions(grad_tol=1e-8))
-        u = np.concatenate([coeffs_to_real(base.q.coeffs), np.zeros(2 * n)])
+        seed = DualProblem(grid, prob.c, constant_symbol(1.0))
+        u = np.concatenate([_newton(seed, SolverOptions(grad_tol=1e-8), B)[0], np.zeros(2 * n)])
 
     hint = "" if lam else (
         "; the unregularized problem may need a spectral zero, "
@@ -231,7 +231,7 @@ def joint_solve(
     try:
         u, s, (gq, gp), mom, iterations, trace = _damped_newton(
             u,
-            lambda w: np.array((1.0 + w[size:] @ Bp, w[:size] @ B)),
+            lambda w: np.array((1.0 + w[size:] @ B[1:], w[:size] @ B)),
             functools.partial(_joint_objective, prob),
             functools.partial(_joint_derivatives, prob),
             _real_hessian,
@@ -308,12 +308,9 @@ def continuation_solve(
     of the cepstral cone, where a cold solve at small lambda stalls.
     """
     target = prob.regularization
-    if start <= 0 or start < target:
-        raise ValueError(
-            f"need start > 0 and start >= target regularization, got {start}"
-        )
-    lams = []
-    lam = start
+    if not (0 < start < np.inf and start >= target):
+        raise ValueError(f"need a finite start > 0 and start >= target regularization, got {start}")
+    lams, lam = [], start
     while lam > max(target, 1e-16) * (1.0 + 1e-9):
         lams.append(lam)
         lam /= 10.0

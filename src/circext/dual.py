@@ -6,14 +6,14 @@ the solver minimizes the strictly convex functional
     J(Q) = <C,Q> - integral P log Q dnu
 
 over denominators Q of degree n that stay positive at every node.  The unique
-interior minimizer matches the lags of P/Q to c exactly.  Optimization runs
-over the 2n+1 real degrees of freedom (q_0, Re q_k, Im q_k) with the damped
-Newton driver `_damped_newton`, which cepstral.joint_solve shares: each step
-solves the real symmetric Newton system and backtracks until the iterate is
-interior and the objective has decreased.  Each iteration takes the moments
-of P/Q and P/Q^2 from one FFT, O(N log N), and assembles the Hessian from
-them in O(n^3).  Where the Newton decrement is below the rounding of the
-objective, a full interior step that lowers the residual is accepted as well.
+interior minimizer matches the lags of P/Q to c exactly.  The damped Newton
+driver `_damped_newton`, which cepstral.joint_solve shares, runs over the 2n+1
+real parameters (q_0, Re q_k, Im q_k): each step solves the Newton system and
+backtracks until the iterate is interior and the objective has decreased, or,
+below the objective's rounding, until a full step lowers the residual.  A
+solve builds its trig basis once.  Each iteration pays for one FFT of P/Q and
+P/Q^2, O(N log N), and an eigvalsh and a solve of the Hessian built from those
+moments, O(n^3); each trial step, for the samples w @ basis and one objective.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ class SolverOptions:
     initial_q: SymmetricPseudoPolynomial | None = None
 
     def __post_init__(self):
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         tolerances = (self.grad_tol, self.boundary_floor)
         if not all(0 < x < math.inf for x in tolerances) or self.max_iter <= 0:
             raise ValueError("tolerances must be positive and finite, the iteration budget positive")
@@ -96,10 +98,9 @@ class DualProblem:
     p_samples: SpectrumSamples = field(init=False)
 
     def __post_init__(self):
-        if self.c.n > self.grid.N - 1:
-            raise ValueError(f"need deg c <= N-1, got {self.c.n} on N={self.grid.N}")
-        if self.p.degree > self.grid.N - 1:
-            raise ValueError(f"need deg p <= N-1, got {self.p.degree} on N={self.grid.N}")
+        for name, degree in (("c", self.c.n), ("p", self.p.degree)):
+            if degree > self.grid.N - 1:
+                raise ValueError(f"need deg {name} <= N-1, got {degree} on N={self.grid.N}")
         self.p_samples = eval_symbol(self.p, self.grid)
         vals = self.p_samples.real_values()
         scale = max(1.0, float(np.max(np.abs(vals))))
@@ -144,7 +145,7 @@ def _symbol_samples(prob, q: SymmetricPseudoPolynomial, name: str = "denominator
 def _dual_objective(prob: DualProblem, v: np.ndarray, qv: np.ndarray) -> float:
     """<C,Q> - integral P log Q dnu at real parameters v with node samples qv."""
     pv = prob.p_samples.values.real
-    return pairing(prob.c.c, real_to_coeffs(v)) - float(np.mean(pv * np.log(qv)))
+    return pairing(prob.c.c, real_to_coeffs(v)) - float(np.add.reduce(pv * np.log(qv))) / qv.size
 
 
 def _dual_derivatives(prob: DualProblem, qv: np.ndarray):
@@ -161,8 +162,7 @@ def dual_value(prob: DualProblem, q: SymmetricPseudoPolynomial) -> float:
 
 def dual_gradient(prob: DualProblem, q: SymmetricPseudoPolynomial) -> np.ndarray:
     """Components c_k - integrate(P/Q, k) for k = 0 ... n."""
-    (gc,), _ = _dual_derivatives(prob, _symbol_samples(prob, q))
-    return gc
+    return _dual_derivatives(prob, _symbol_samples(prob, q))[0][0]
 
 
 def dual_hessian(prob: DualProblem, q: SymmetricPseudoPolynomial) -> np.ndarray:
@@ -220,7 +220,7 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
         for _ in range(MAX_BACKTRACKS):
             v_new = v + t * step
             s_new = samples(v_new)
-            if s_new.min() > opts.boundary_floor:
+            if (low := s_new.min()) > opts.boundary_floor:
                 candidate = objective(v_new, s_new)
                 if candidate <= current + slack:
                     break
@@ -230,15 +230,7 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
         else:
             raise _collapse("backtracking stalled", iteration, residual, s, hint)
         v, s, current = v_new, s_new, candidate
-        trace.append(
-            IterationRecord(
-                objective=current,
-                grad_norm=residual,
-                step_size=t,
-                min_q_sample=float(s.min()),
-                hessian_min_eig=hess_min,
-            )
-        )
+        trace.append(IterationRecord(current, residual, t, float(low), hess_min))
     raise MaxIterationsError(
         f"no convergence after {opts.max_iter} iterations, residual {residual:.3e}",
         residual,
@@ -267,30 +259,10 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     given.  Raises BoundaryCollapseError when backtracking cannot leave the
     positivity floor and MaxIterationsError when the budget runs out.
     """
-    opts = opts or SolverOptions()
-    grid, n = prob.grid, prob.n
-    pv = prob.p_samples.values.real
-    coeffs = np.zeros(n + 1, dtype=complex)
-    if opts.initial_q is not None:
-        q0 = opts.initial_q
-        if q0.degree > n:
-            raise ValueError(f"initial_q degree {q0.degree} exceeds lag count {n}")
-        coeffs[: q0.degree + 1] = q0.coeffs
-    else:
-        coeffs[0] = float(np.mean(pv)) / prob.c.c[0].real
-    B = trig_basis(grid.angles, n)
-    v, qv, (gc,), _, iterations, trace = _damped_newton(
-        coeffs_to_real(coeffs),
-        lambda w: w @ B,
-        functools.partial(_dual_objective, prob),
-        functools.partial(_dual_derivatives, prob),
-        trig_gram,
-        opts,
-        max(1.0, prob.c.sup_norm()),
-        "; the lags are likely infeasible on this grid "
-        "(feasibility_certificate gives the exact answer)",
-    )
-    ratio = pv / qv
+    grid = prob.grid
+    B = trig_basis(grid.angles, prob.n)
+    v, qv, (gc,), _, iterations, trace = _newton(prob, opts or SolverOptions(), B)
+    ratio = prob.p_samples.values.real / qv
     return SolutionReport(
         q=SymmetricPseudoPolynomial(real_to_coeffs(v)),
         p=prob.p,
@@ -304,14 +276,37 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     )
 
 
+def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
+    """newton_solve's iteration on the problem's trig basis B, as `_damped_newton` returns it."""
+    n, pv = prob.n, prob.p_samples.values.real
+    coeffs = np.zeros(n + 1, dtype=complex)
+    if opts.initial_q is not None:
+        q0 = opts.initial_q
+        if q0.degree > n:
+            raise ValueError(f"initial_q degree {q0.degree} exceeds lag count {n}")
+        coeffs[: q0.degree + 1] = q0.coeffs
+    else:
+        coeffs[0] = float(np.mean(pv)) / prob.c.c[0].real
+    return _damped_newton(
+        coeffs_to_real(coeffs),
+        lambda w: w @ B,
+        functools.partial(_dual_objective, prob),
+        functools.partial(_dual_derivatives, prob),
+        trig_gram,
+        opts,
+        max(1.0, prob.c.sup_norm()),
+        "; the lags are likely infeasible on this grid "
+        "(feasibility_certificate gives the exact answer)",
+    )
+
+
 def complete_covariances(report) -> np.ndarray:
     """Extend the matched lags to k = 0 ... N by integrating the spectrum.
 
     Accepts a SolutionReport (uses its phi) or SpectrumSamples directly.
     """
     phi = getattr(report, "phi", report)
-    vals = phi.real_values()
-    return moment_vector(phi.grid.angles, vals, phi.grid.N)
+    return moment_vector(phi.grid.angles, phi.real_values(), phi.grid.N)
 
 
 def maxent_solve(

@@ -1,10 +1,10 @@
 """Shared numerical helpers for symbol evaluation and moment extraction.
 
 Everything here works on raw arrays; the typed wrappers live in the module
-that owns the corresponding contract.  Moments come from one inverse FFT per
-weight, O(N log N) on a 2N-point grid whatever the number of lags, and the
-Toeplitz and Gram matrices of the solvers are assembled from those moments
-without touching the grid again, in O(n^2) and O(n^3) work.
+that owns the corresponding contract.  Moments cost one inverse FFT per weight,
+O(N log N) on a 2N-point grid, then one gather and one product with lag tables
+built once per (2N, kmax); Toeplitz and Gram matrices come from the moments in
+O(n^2) and O(n^3) work, the Gram map built once per degree.
 """
 
 from __future__ import annotations
@@ -38,18 +38,30 @@ def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarr
     values = np.asarray(values)
     if values.shape[-1] != size:
         raise ValueError(f"expected {size} values per row, got shape {values.shape}")
+    positions, shift = _lag_table(size, kmax)
+    return np.fft.ifft(values, axis=-1)[..., positions] * shift
+
+
+@functools.lru_cache(maxsize=32)
+def _lag_table(size: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only FFT positions k mod 2N of the lags k = 0 ... kmax, and their phases.
+
+    Storage position m holds j = m - N + 1, so lag k picks up e^{-i pi k (N-1)/N},
+    its integer exponent reduced mod 2N before it meets floating point.  Tables take
+    24 (kmax+1) bytes with kmax < 2N, so the 32 kept hold at most 6.3 MB at N = 4096.
+    """
     half = size // 2
     lags = np.arange(kmax + 1)
-    # storage position m holds j = m - N + 1, so lag k picks up e^{-i pi k (N-1)/N};
-    # the integer exponent is reduced mod 2N before it meets floating point
-    shift = np.exp(lags * (half - 1) % size * (-1j * np.pi / half))
-    return np.fft.ifft(values, axis=-1)[..., lags % size] * shift
+    table = lags % size, np.exp(lags * (half - 1) % size * (-1j * np.pi / half))
+    for part in table:
+        part.setflags(write=False)
+    return table
 
 
 def pairing(seq: np.ndarray, coeffs: np.ndarray) -> float:
     """Real sum_{k=-n}^{n} seq_k conj(coeffs_k) of hermitian sequences stored for k >= 0."""
     value = (seq[0] * np.conj(coeffs[0])).real
-    value += 2.0 * np.sum((seq[1:] * np.conj(coeffs[1:])).real)
+    value += 2.0 * np.add.reduce((seq[1:] * np.conj(coeffs[1:])).real)
     return float(value)
 
 
@@ -114,7 +126,4 @@ def real_to_coeffs(v: np.ndarray) -> np.ndarray:
     """Inverse of coeffs_to_real."""
     v = np.asarray(v, dtype=float)
     n = (v.size - 1) // 2
-    out = np.zeros(n + 1, dtype=complex)
-    out[0] = v[0]
-    out[1:] = v[1 : n + 1] + 1j * v[n + 1 :]
-    return out
+    return np.concatenate((v[:1], v[1 : n + 1] + 1j * v[n + 1 :]))

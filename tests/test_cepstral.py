@@ -393,6 +393,15 @@ class TestContinuation:
         with pytest.raises(ValueError):
             continuation_solve(prob, start=1e-3)
 
+    def test_non_finite_start_is_refused_before_any_solve(self, monkeypatch):
+        # nan once ran a cold solve at the target, and inf staged forever
+        grid, p0, q0, spectrum, c, m = consistent_instance()
+        prob = JointProblem(grid, c, m, regularization=1e-2)
+        monkeypatch.setattr(cepstral, "joint_solve", lambda *a, **k: pytest.fail("solved"))
+        for start in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite start"):
+                continuation_solve(prob, start=start)
+
 
 class TestLambdaPath:
     def test_warm_stages_match_cold_solves(self):

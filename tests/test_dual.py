@@ -1,16 +1,23 @@
 """Dual Newton solver: matching, uniqueness, derivatives, and failure modes."""
 
+import dataclasses
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
 from circext import (
     BoundaryCollapseError,
+    CepstralSequence,
     Circulant,
     CovarianceSequence,
     DiscreteGrid,
     DualProblem,
     JointProblem,
+    JointReport,
     MaxIterationsError,
     SolverOptions,
     SpectrumSamples,
@@ -30,6 +37,7 @@ from circext import (
     maxent_solve,
     newton_solve,
 )
+from circext.cepstral import lambda_path
 
 from conftest import (
     make_rng,
@@ -395,6 +403,11 @@ class TestFailureModes:
             SolverOptions(max_iter=0)
         with pytest.raises(ValueError):
             SolverOptions(backtrack_ratio=1.0)
+        # a float budget once failed inside the iteration, and True ran as one
+        for budget in (2.5, 3.0, True, "3"):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                SolverOptions(max_iter=budget)
+        assert SolverOptions(max_iter=np.int64(3)).max_iter == 3
 
     @pytest.mark.parametrize("field", ["grad_tol", "boundary_floor"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -457,3 +470,111 @@ class TestConvergenceNearOptimum:
             report = joint_solve(JointProblem(grid, c, m, 1e-3))
             scale = max(1.0, c.sup_norm(), float(np.max(np.abs(m.m))))
             assert report.residual <= 1e-10 * scale
+
+
+N5 = [1.0, 0.5, 0.2 + 0.1j, 0.05, 0.02, 0.01]
+N5_CEPSTRA = [0.05, 0.01, 0.0, 0.0, 0.0]
+NEWTON_RECORD = os.path.join(os.path.dirname(__file__), "golden", "newton_census.json")
+
+
+def digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def report_entry(report):
+    """Iterations, every trace field as repr, the residuals and the digests of the output bytes."""
+    entry = {
+        "iterations": report.iterations,
+        "trace": [{k: repr(v) for k, v in dataclasses.asdict(r).items()} for r in report.trace],
+        "q": digest(report.q.coeffs),
+        "p": digest(report.p.coeffs),
+        "phi": digest(report.phi.values),
+    }
+    if isinstance(report, JointReport):
+        entry["residuals"] = [repr(report.covariance_residual), repr(report.cepstral_residual)]
+        entry["epsilon"] = None if report.epsilon is None else digest(report.epsilon)
+        entry["boundary_flag"] = report.boundary_flag
+    else:
+        entry["residuals"] = [repr(report.residual)]
+        entry["extended_c"] = digest(report.extended_c)
+    return entry
+
+
+def solve_entry(solve, *args):
+    """The entry of each report that solve(*args) returns, or of the error it raises."""
+    try:
+        out = solve(*args)
+    except (BoundaryCollapseError, MaxIterationsError) as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return [report_entry(r) for r in out] if isinstance(out, list) else report_entry(out)
+
+
+def newton_runs():
+    """Label -> (solve, its arguments) for every solve on the record."""
+    n5 = CovarianceSequence(N5)
+    rng = make_rng(2026)
+    grid = DiscreteGrid(64)
+    p = random_positive_symbol(rng, 5, grid)
+    rough = random_feasible_covariances(rng, 3, grid)
+    start = random_interior_q(rng, DualProblem(grid, rough, constant_symbol(1.0)), constant_symbol(1.0))
+    (_, n, phi), = arma_spectra(2027, 1, (3,), N=256)
+    exact = JointProblem(phi.grid, covariance_moments(phi, n), cepstral_moments(phi, n), 0.0)
+    runs = {f"maxent n5 N={N}": (maxent_solve, (n5, DiscreteGrid(N))) for N in (8, 256, 4096)}
+    runs["newton P random N=64"] = (newton_solve, (DualProblem(grid, n5, p),))
+    runs["newton initial_q N=64"] = (
+        newton_solve, (DualProblem(grid, rough, constant_symbol(1.0)), SolverOptions(initial_q=start))
+    )
+    for N in (64, 1024):
+        runs[f"joint n5 lambda=0.01 N={N}"] = (
+            joint_solve, (JointProblem(DiscreteGrid(N), n5, CepstralSequence(N5_CEPSTRA), 0.01),)
+        )
+    runs["joint exact lambda=0 N=256"] = (joint_solve, (exact,))
+    runs["lambda_path n5 N=64"] = (
+        lambda_path, (JointProblem(grid, n5, CepstralSequence(N5_CEPSTRA)), [1.0, 0.1, 0.01, 1e-3])
+    )
+    for N in (3, 5):
+        runs[f"collapse N={N}"] = (maxent_solve, (AWKWARD, DiscreteGrid(N)))
+    runs["budget max_iter=1 N=8"] = (
+        maxent_solve, (CovarianceSequence([1.0, 0.3 + 0.1j]), DiscreteGrid(8), SolverOptions(max_iter=1))
+    )
+    return runs
+
+
+def write_newton_record():
+    """Record every solve in tests/golden/newton_census.json."""
+    record = {label: solve_entry(solve, *args) for label, (solve, args) in newton_runs().items()}
+    with open(NEWTON_RECORD, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+class TestNewtonRecord:
+    """Each solve takes the iterations and gives the bits on record.
+
+    The record holds every trace field, the residuals and the digests of q,
+    p, phi and extended_c (or epsilon), and the type and message of each
+    error.  A change that means to alter an iterate or the rounding of any
+    output rewrites it with `PYTHONPATH=src python tests/test_dual.py` and
+    says so.
+    """
+
+    RUNS = newton_runs()
+
+    @pytest.mark.parametrize("label", list(RUNS))
+    def test_matches_the_record(self, label):
+        with open(NEWTON_RECORD, encoding="utf-8") as fh:
+            expected = json.load(fh)[label]
+        solve, args = self.RUNS[label]
+        assert solve_entry(solve, *args) == expected
+
+    def test_record_covers_damped_steps_and_both_errors(self):
+        with open(NEWTON_RECORD, encoding="utf-8") as fh:
+            record = json.load(fh)
+        entries = [e for v in record.values() for e in (v if isinstance(v, list) else [v])]
+        steps = [float(r["step_size"]) for e in entries for r in e.get("trace", [])]
+        assert min(steps) < 1.0
+        assert {e.get("error") for e in entries} >= {"BoundaryCollapseError", "MaxIterationsError"}
+
+
+if __name__ == "__main__":
+    write_newton_record()

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from circext import (
+    BoundaryCollapseError,
     CepstralSequence,
     CovarianceSequence,
     DiscreteGrid,
+    MaxIterationsError,
     SpectrumSamples,
     SymmetricPseudoPolynomial,
     cepstral_moments,
@@ -20,6 +22,7 @@ from circext import (
     feasibility_certificate,
     inner_product,
     integrate,
+    maxent_solve,
     toeplitz_matrix,
     toeplitz_positive,
 )
@@ -89,6 +92,22 @@ def equality_form_margin(c, N):
     )
     assert res.status == 0, f"reference LP failed: {res.message}"
     return -res.fun
+
+
+def ordinary_maxent_q(c):
+    """q_0 ... q_n of the N = infinity maximum-entropy denominator Q = |a|^2 / sigma^2,
+    and the condition number of T_n.
+
+    Yule-Walker: x solves T_n x = e_0 with T[k, l] = c_{k-l}, so a = x / x_0 is the
+    predictor, sigma^2 = 1 / x_0 and q_k = sum_j x_{j+k} conj(x_j) / x_0.  No grid,
+    no FFT and no Newton step; O(n^3) work.
+    """
+    n = len(c) - 1
+    T = np.array([[c[k - l] if k >= l else np.conj(c[l - k]) for l in range(n + 1)]
+                  for k in range(n + 1)])
+    x = np.linalg.solve(T, np.eye(n + 1)[0])
+    q = np.array([np.sum(x[k:] * np.conj(x[: n + 1 - k])) for k in range(n + 1)]) / x[0].real
+    return q, np.linalg.cond(T)
 
 
 def symbol_values(coeffs, N):
@@ -522,3 +541,52 @@ class TestGridDoublingProperty:
         ])
         assert feasibility_certificate(c, DiscreteGrid(76)).feasible
         assert feasibility_certificate(c, DiscreteGrid(152)).feasible
+
+
+class TestOrdinaryMaxentOracle:
+    """maxent_solve tends to the N = infinity solution at the aliasing rate.
+
+    The lags are those of 1/|b|^2 with b(z) = prod(1 - r z) of degree n = 1 ... 8,
+    |r| < 0.9, scaled to c_0 = 1; rho is the largest |r| and kappa the condition
+    number of T_n.  Over 2000 such draws on other seeds, with N from n+1 to 4096,
+    the distance of q_N to q_inf relative to max |q_inf| never exceeded
+    1200 rho^(2(N-n)) + 2 kappa (residual + eps): aliasing of lags k <= n from
+    lag 2N-k, plus the Yule-Walker perturbation bound on the solver's stopping
+    residual and on rounding.  The test doubles both constants.
+    """
+
+    def test_yule_walker_recovers_the_model(self):
+        rng = make_rng(20261020)
+        for n in range(1, 9):
+            poles = rng.uniform(0.0, 0.9, n) * np.exp(2j * np.pi * rng.random(n))
+            b = np.poly(poles)[::-1]    # coefficients of prod(1 - r z), b_0 = 1
+            expected = [np.sum(b[k:] * np.conj(b[: n + 1 - k])) for k in range(n + 1)]
+            q, kappa = ordinary_maxent_q(model_lags([], poles, n, 2**15))
+            assert np.abs(q - expected).max() <= 1e-14 * kappa * np.abs(expected).max()
+
+    def test_distance_to_the_ordinary_solution(self):
+        rng = make_rng(20261021)
+        eps = np.finfo(float).eps
+        reached = 0
+        for i in range(40):
+            n = 1 + i % 8
+            poles = rng.uniform(0.0, 0.9, n) * np.exp(2j * np.pi * rng.random(n))
+            rho = float(np.abs(poles).max())
+            c = model_lags([], poles, n, 2**15)
+            seq = CovarianceSequence(c / c[0].real)
+            q_inf, kappa = ordinary_maxent_q(seq.c)
+            scale = np.abs(q_inf).max()
+            for N in sorted({n + 1, n + 2, n + 3, *np.geomspace(n + 4, 4096, 8).astype(int)}):
+                grid = DiscreteGrid(int(N))
+                try:
+                    report = maxent_solve(seq, grid)
+                except (BoundaryCollapseError, MaxIterationsError):
+                    assert not feasibility_certificate(seq, grid).feasible, (n, rho, N)
+                    continue
+                distance = np.abs(report.q.coeffs - q_inf).max() / scale
+                floor = kappa * (report.residual + eps)
+                assert distance <= 2400 * rho ** (2 * (N - n)) + 4 * floor, (n, rho, N)
+                if rho ** (2 * N) < 1e-16 and floor <= 1e-13:
+                    assert distance <= 1e-12, (n, rho, N)
+                    reached += 1
+        assert reached >= 60
