@@ -367,7 +367,7 @@ def read_realization_csv(path: str, grid: DiscreteGrid) -> np.ndarray:
         data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 3 or data.shape[0] != grid.size:
         raise InputFormatError(f"{path}: expected {grid.size} rows of t,re,im")
-    return data[:, 1] + 1j * data[:, 2]
+    return np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]    # no 0 * inf from 1j * im
 
 
 def write_ensemble(out_dir: str, realizations: np.ndarray, grid, seed, model_hash, real_valued) -> list[str]:

@@ -569,6 +569,28 @@ class TestSimulateEstimate:
                      "--no-smoothing", "--out", str(tmp_path / "o2")])
         assert code == 0
 
+    @pytest.mark.parametrize("column", ["re", "im"])
+    def test_estimate_refuses_a_non_finite_realization(self, tmp_path, capsys, column):
+        # one message naming the row and time point, and no numpy warning first
+        model = self.solved_model(tmp_path)
+        ensemble = tmp_path / "ens"
+        assert main(["simulate", model, "--count", "3", "--seed", "3", "--out", str(ensemble)]) == 0
+        path = ensemble / "realization_0001.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[3].split(",")
+        fields[["t", "re", "im"].index(column)] = "inf"
+        lines[3] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", str(ensemble), "--degree", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: realization 1 is not finite at t=2: (")
+        assert "inf" in err and err.count("\n") == 1
+
     def test_closed_loop_identification(self, tmp_path):
         model = self.solved_model(tmp_path)
         ensemble = tmp_path / "ens"

@@ -1,5 +1,11 @@
 """Sampling through the spectral representation and moment estimation."""
 
+import hashlib
+import json
+import os
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -37,6 +43,21 @@ def even_model(N=8):
     return grid, maxent_solve(c, grid)
 
 
+SPECTRA = ("smooth", "zero at even |j|", "all zero")
+
+
+def spectrum_values(grid, kind, even):
+    """Samples of one of SPECTRA; even=False adds an odd part, so only complex draws take it."""
+    values = 1.0 + 0.5 * np.cos(grid.angles)
+    if not even:
+        values = values + 0.3 * np.sin(grid.angles)
+    if kind == "zero at even |j|":
+        values = np.where(grid.indices % 2 == 0, 0.0, values)
+    elif kind == "all zero":
+        values = np.zeros(grid.size)
+    return values
+
+
 def per_row_realizations(phi, count, seed, real_valued):
     """Reference sampler: the Box-Muller draws and inverse transform row by row."""
     grid = phi.grid
@@ -70,17 +91,27 @@ class TestSampling:
     def test_batched_draws_equal_per_row_draws(self, N, count, real_valued):
         # the whole ensemble comes from one uniform draw and one transform;
         # it must reproduce the row-by-row stream bit for bit
+        self.assert_batched_equals_per_row(N, count, real_valued, "smooth")
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
+    @pytest.mark.parametrize("count", [1, 5])
+    @pytest.mark.parametrize("real_valued", [False, True])
+    @pytest.mark.parametrize("kind", SPECTRA[1:])
+    def test_batched_draws_equal_per_row_draws_on_spectra_with_zeros(self, N, count, real_valued, kind):
+        # a zero sample makes every draw there a signed zero, whose sign
+        # np.array_equal would not see
+        self.assert_batched_equals_per_row(N, count, real_valued, kind)
+
+    @staticmethod
+    def assert_batched_equals_per_row(N, count, real_valued, kind):
         grid = DiscreteGrid(N)
-        values = 1.0 + 0.5 * np.cos(grid.angles)
-        if not real_valued:
-            values = values + 0.3 * np.sin(grid.angles)
-        phi = SpectrumSamples(grid, values)
+        phi = SpectrumSamples(grid, spectrum_values(grid, kind, even=real_valued))
         seed = 1000 * N + count
         batched = sample_realizations(phi, count, seed=seed, real_valued=real_valued)
         reference = per_row_realizations(phi, count, seed, real_valued)
         assert batched.dtype == reference.dtype
-        assert np.array_equal(batched, reference)
-
+        # bytes, not np.array_equal, which calls -0.0 equal to 0.0
+        assert batched.tobytes() == reference.tobytes()
 
     def test_shapes_and_types(self):
         grid, report = ar_model()
@@ -151,6 +182,17 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_realizations(SpectrumSamples(grid, values), 2, seed=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("real_valued", [False, True])
+    def test_non_finite_spectrum_is_refused_before_any_draw(self, bad, real_valued):
+        # NaN passes both the sign test and the evenness test, and inf made
+        # numpy warn; the sampler names the first such node instead
+        grid = DiscreteGrid(4)
+        values = np.ones(grid.size)
+        values[[grid.position(-1), grid.position(1)]] = bad
+        with pytest.raises(ValueError, match=f"spectrum sample is negative or not finite at node j=-1: {bad!r}"):
+            sample_realizations(SpectrumSamples(grid, values), 2, seed=1, real_valued=real_valued)
+
 
 class TestPeriodogram:
     def test_impulse(self):
@@ -212,6 +254,16 @@ class TestEstimation:
         with pytest.raises(ValueError):
             estimate_covariances(np.ones((0, grid.size), dtype=complex), grid, 1)
 
+    @pytest.mark.parametrize("shape", [(3, 7), (3, 8, 1), (2, 8, 3)])
+    def test_realizations_must_be_rows_of_the_grid(self, shape):
+        # a third axis was refused only by a broadcasting error deep in the transform
+        grid = DiscreteGrid(4)
+        y = np.ones(shape)
+        y.flat[-1] = np.inf
+        for run in (lambda: estimate_covariances(y, grid, 1), lambda: estimate_cepstra(y, grid, 1)):
+            with pytest.raises(ValueError, match=re.escape(f"realizations must be rows of 8 time points, got shape {shape}")):
+                run()
+
     def test_zero_data_rejected(self):
         grid = DiscreteGrid(4)
         y = np.zeros((3, grid.size), dtype=complex)
@@ -241,6 +293,24 @@ class TestEstimation:
         base = estimate_cepstra(y, grid, 2)
         scaled = estimate_cepstra(3.0 * y, grid, 2)
         np.testing.assert_allclose(scaled.m, base.m, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+    @pytest.mark.parametrize("call", ["covariances", "cepstra", "unsmoothed cepstra", "periodogram"])
+    def test_non_finite_realizations_are_refused_before_any_transform(self, bad, call):
+        # the refusal names the first row and time point; no transform runs,
+        # so numpy warns of nothing
+        grid = DiscreteGrid(4)
+        y = make_rng(619).standard_normal((8, grid.size)).astype(type(bad))
+        row = 0 if call == "periodogram" else 5
+        y[row, 2] = bad
+        runs = {
+            "covariances": lambda: estimate_covariances(y, grid, 1),
+            "cepstra": lambda: estimate_cepstra(y, grid, 1),
+            "unsmoothed cepstra": lambda: estimate_cepstra(y, grid, 1, smoothing=False),
+            "periodogram": lambda: periodogram(y[0], grid),
+        }
+        with pytest.raises(ValueError, match=re.escape(f"realization {row} is not finite at t=2: {bad!r}")):
+            runs[call]()
 
     def test_unsmoothed_variant_differs_and_is_fragile(self):
         grid, report = ar_model()
@@ -275,6 +345,14 @@ class TestConjugacy:
         with pytest.raises(ValueError, match="count must be at least 1, got 0"):
             conjugacy_check(report.phi, 0, seed=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spectrum_is_refused(self, bad):
+        grid = DiscreteGrid(4)
+        values = np.ones(grid.size)
+        values[grid.position(2)] = bad
+        with pytest.raises(ValueError, match=f"spectrum sample is negative or not finite at node j=2: {bad!r}"):
+            conjugacy_check(SpectrumSamples(grid, values), 10, seed=1)
+
     def test_spectrum_is_checked_before_the_count(self):
         # the sampler refuses a count below one; the spectrum is refused first
         grid = DiscreteGrid(4)
@@ -282,6 +360,123 @@ class TestConjugacy:
         values[1] = 0.0
         with pytest.raises(ValueError, match="spectrum sample is not positive at node j=-2: 0.0"):
             conjugacy_check(SpectrumSamples(grid, values), 0, seed=1)
+
+
+class TestMemory:
+    """Peak traced bytes of one call on N = 512, count = 300, against the complex ensemble's bytes.
+
+    Every pass over the ensemble writes into a buffer it owns.  A draw holds
+    at most three ensemble-sized complex arrays at once (the uniform block
+    with its radius, angle and cosine buffers, 2.5; then the draws, the FFT
+    output and the shifted result, 3); an estimate holds the FFT output,
+    phased in place, and its magnitudes (1.5 ensembles).  With a copy and
+    complex temporaries on every pass, all three read 4.03.
+    """
+
+    @pytest.mark.parametrize(
+        "call, limit",
+        [("sample_realizations", 3.25), ("estimate_covariances", 1.75), ("estimate_cepstra", 1.75)],
+    )
+    def test_peak_traced_bytes(self, call, limit):
+        grid = DiscreteGrid(512)
+        phi = SpectrumSamples(grid, spectrum_values(grid, "smooth", even=False))
+        y = sample_realizations(phi, 300, seed=31)
+        runs = {
+            "sample_realizations": lambda: sample_realizations(phi, 300, seed=32),
+            "estimate_covariances": lambda: estimate_covariances(y, grid, 3),
+            "estimate_cepstra": lambda: estimate_cepstra(y, grid, 3),
+        }
+        tracemalloc.start()
+        try:
+            runs[call]()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * y.nbytes
+
+
+SAMPLING_RECORD = os.path.join(os.path.dirname(__file__), "golden", "sampling_census.json")
+RECORD_GRIDS = (1, 2, 3, 8, 64, 512, 4096)
+
+
+def digest(array):
+    """dtype, shape and the SHA-256 of the bytes of array."""
+    array = np.ascontiguousarray(array)
+    return f"{array.dtype} {array.shape} {hashlib.sha256(array.tobytes()).hexdigest()}"
+
+
+def sampling_runs():
+    """Label -> function of no arguments giving the entry on record."""
+    runs = {}
+    for N in RECORD_GRIDS:
+        grid = DiscreteGrid(N)
+        count = 5 if N <= 64 else 2
+        for kind in SPECTRA:
+            for real_valued, name in ((False, "complex"), (True, "real")):
+                phi = SpectrumSamples(grid, spectrum_values(grid, kind, even=real_valued))
+                runs[f"sample {name} {kind} N={N}"] = (
+                    lambda phi=phi, real_valued=real_valued, seed=N + count:
+                    digest(sample_realizations(phi, count, seed=seed, real_valued=real_valued))
+                )
+        ensembles = {
+            name: sample_realizations(
+                SpectrumSamples(grid, spectrum_values(grid, "smooth", even=real_valued)),
+                16, seed=7 * N, real_valued=real_valued,
+            )
+            for real_valued, name in ((False, "complex"), (True, "float"))
+        }
+        n = min(N, 3)
+        for name, y in ensembles.items():
+            runs[f"estimate_covariances {name} N={N}"] = (
+                lambda y=y, grid=grid, n=n: digest(estimate_covariances(y, grid, n).c)
+            )
+            for smoothing in (True, False):
+                runs[f"estimate_cepstra {name} smoothing={smoothing} N={N}"] = (
+                    lambda y=y, grid=grid, n=n, smoothing=smoothing:
+                    digest(estimate_cepstra(y, grid, n, smoothing=smoothing).m)
+                )
+            runs[f"periodogram {name} N={N}"] = lambda y=y, grid=grid: digest(periodogram(y[0], grid).values)
+        rows = dict(ensembles, sparse=spectrum_values(grid, "zero at even |j|", even=False))
+        for name, row in rows.items():
+            row = np.atleast_2d(row)[0]
+            runs[f"dft {name} N={N}"] = lambda grid=grid, row=row: digest(dft(Signal(grid, row)).values)
+            runs[f"idft {name} N={N}"] = (
+                lambda grid=grid, row=row: digest(idft(SpectrumSamples(grid, row)).values)
+            )
+        if N <= 512:
+            for even, name in ((True, "even"), (False, "tilted")):
+                phi = SpectrumSamples(grid, spectrum_values(grid, "smooth", even=even))
+                runs[f"conjugacy_check {name} N={N}"] = (
+                    lambda phi=phi, seed=3 * N: repr(conjugacy_check(phi, 50, seed=seed))
+                )
+    return runs
+
+
+def write_sampling_record():
+    """Record every run in tests/golden/sampling_census.json."""
+    record = {label: run() for label, run in sampling_runs().items()}
+    with open(SAMPLING_RECORD, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+class TestSamplingRecord:
+    """Each draw, estimate, transform and whitening distance gives the bits on record.
+
+    The record holds the dtype, shape and SHA-256 of the bytes of every
+    output array, and the repr of every conjugacy_check distance.  A change
+    that means to alter the draw stream or the rounding of any output
+    rewrites it with `PYTHONPATH=src python tests/test_process.py` and says
+    so.
+    """
+
+    RUNS = sampling_runs()
+
+    @pytest.mark.parametrize("label", list(RUNS))
+    def test_matches_the_record(self, label):
+        with open(SAMPLING_RECORD, encoding="utf-8") as fh:
+            expected = json.load(fh)[label]
+        assert self.RUNS[label]() == expected
 
 
 class TestClosedLoop:
@@ -292,3 +487,7 @@ class TestClosedLoop:
         recovered = maxent_solve(est, grid)
         worst = float(np.max(np.abs(recovered.q.coeffs - report.q.coeffs)))
         assert worst <= 0.1
+
+
+if __name__ == "__main__":
+    write_sampling_record()
