@@ -49,7 +49,7 @@ def _is_feasible(c: CovarianceSequence, N: int) -> bool:
 
 
 def find_threshold(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> int:
-    """Smallest grid parameter in the doubling/bisection lattice feasible for c.
+    """A grid parameter feasible for c, by doubling and bisection; not always the smallest.
 
     Returns an N with c feasible on DiscreteGrid(N) and infeasible on
     DiscreteGrid(N-1), or N = n+1 (the coarsest grid accommodating the lags)

@@ -17,9 +17,10 @@ one and Q at the maximum-entropy denominator for c, from newton_solve's
 iteration on the same trig basis; this keeps the initial Hessian away from
 the rank deficiency that the flat start (P and Q both constant) exhibits at
 lambda = 0.  Each iteration transforms all the weights that its gradient and
-Hessian need in one batched FFT.  The public joint_value/joint_gradient/
-joint_hessian evaluate the objective and derivative functions that the
-driver runs.  `lambda_path` is the one loop over weights, each warm-started.
+Hessian need in one batched FFT.  joint_value and joint_gradient evaluate the
+functions the solver runs; joint_hessian gives the complex k, l >= 0 Toeplitz
+blocks, whose real form over lags <= 2n the solver factors, both from one
+Toeplitz builder.  `lambda_path` is the one loop over weights, each warm-started.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ def joint_hessian(prob: JointProblem, p, q) -> np.ndarray:
     Each block is Toeplitz.
     """
     _, mom = _joint_derivatives(prob, _samples(prob, p, q))
-    return _hessian_blocks(*(hermitian_toeplitz(h) for h in mom[[1, 3, 4], : prob.n + 1]))
+    return _hessian_blocks(*hermitian_toeplitz(mom[[1, 3, 4], : prob.n + 1]))
 
 
 def _real_hessian(mom):

@@ -38,6 +38,8 @@ from .kernels import (
 from .moments import CovarianceSequence
 
 MAX_BACKTRACKS = 60
+BACKTRACK_RATIO = 0.5
+BOUNDARY_FLOOR = 1e-12   # samples at or below it leave the interior
 DESCENT_SLACK = 1e-15    # rounding allowance on the strict-decrease test
 FLAT_DECREMENT = 1e-12   # Newton decrement below which objective rounding hides progress
 NONNEG_TOL = 1e-12
@@ -70,18 +72,13 @@ class BoundaryCollapseError(RuntimeError):
 class SolverOptions:
     grad_tol: float = 1e-10
     max_iter: int = 100
-    boundary_floor: float = 1e-12
-    backtrack_ratio: float = 0.5
     initial_q: SymmetricPseudoPolynomial | None = None
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        tolerances = (self.grad_tol, self.boundary_floor)
-        if not all(0 < x < math.inf for x in tolerances) or self.max_iter <= 0:
+        if not 0 < self.grad_tol < math.inf or self.max_iter <= 0:
             raise ValueError("tolerances must be positive and finite, the iteration budget positive")
-        if not 0.0 < self.backtrack_ratio < 1.0:
-            raise ValueError(f"backtrack_ratio must lie in (0,1), got {self.backtrack_ratio}")
 
 
 @dataclass
@@ -186,7 +183,7 @@ def _real_gradient(gq: np.ndarray, gp: np.ndarray | None = None) -> np.ndarray:
 def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hint):
     """Minimize objective(v, s) over real parameters v with node samples s = samples(v).
 
-    The samples must stay above opts.boundary_floor.  derivatives(s) gives the
+    The samples must stay above BOUNDARY_FLOOR.  derivatives(s) gives the
     complex gradient blocks (see _real_gradient) and the moments that
     hessian(moments) turns into the real Hessian.  Returns (v, s, blocks,
     moments, iterations, trace) once every gradient component is at most
@@ -194,7 +191,7 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
     raises BoundaryCollapseError, whose message hint ends.
     """
     s = samples(v)
-    if s.min() <= opts.boundary_floor:
+    if s.min() <= BOUNDARY_FLOOR:
         raise ValueError("the initial point is not interior on this grid")
     current = objective(v, s)
     trace: list[IterationRecord] = []
@@ -220,13 +217,13 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
         for _ in range(MAX_BACKTRACKS):
             v_new = v + t * step
             s_new = samples(v_new)
-            if (low := s_new.min()) > opts.boundary_floor:
+            if (low := s_new.min()) > BOUNDARY_FLOOR:
                 candidate = objective(v_new, s_new)
                 if candidate <= current + slack:
                     break
                 if flat and t == 1.0 and _residual(derivatives(s_new)[0]) < residual:
                     break
-            t *= opts.backtrack_ratio
+            t *= BACKTRACK_RATIO
         else:
             raise _collapse("backtracking stalled", iteration, residual, s, hint)
         v, s, current = v_new, s_new, candidate

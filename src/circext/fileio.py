@@ -36,7 +36,7 @@ ARTIFACT_VERSION = "0.1.0"
 
 PROBLEM_KEYS = {"version", "N", "c", "m", "p", "options", "lambda"}
 APPROX_KEYS = {"version", "c", "p", "n_max", "grid_sizes", "reference_N"}
-OPTION_KEYS = {"grad_tol", "max_iter", "boundary_floor", "backtrack_ratio"}
+OPTION_KEYS = {"grad_tol", "max_iter"}
 
 
 class InputFormatError(ValueError):

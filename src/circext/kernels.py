@@ -3,8 +3,9 @@
 Everything here works on raw arrays; the typed wrappers live in the module
 that owns the corresponding contract.  Moments cost one inverse FFT per weight,
 O(N log N) on a 2N-point grid, then one gather and one product with lag tables
-built once per (2N, kmax); Toeplitz and Gram matrices come from the moments in
-O(n^2) and O(n^3) work, the Gram map built once per degree.
+built once per (2N, kmax).  hermitian_toeplitz is the one Toeplitz builder: the
+real Gram matrices the Newton solvers factor are its matrices over lags <= 2n in
+real coordinates, one O(n^3) product with a map derived from it once per degree.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def pairing(seq: np.ndarray, coeffs: np.ndarray) -> float:
 
 
 def hermitian_toeplitz(h: np.ndarray) -> np.ndarray:
-    """Hermitian Toeplitz matrix T[k, l] = h_{k-l} with h_{-k} = conj(h_k)."""
+    """Hermitian Toeplitz matrix T[k, l] = h_{k-l} with h_{-k} = conj(h_k), one per row of h."""
     h = np.asarray(h, dtype=complex)
-    lag = np.subtract.outer(np.arange(h.size), np.arange(h.size))
-    return np.where(lag >= 0, h[np.abs(lag)], np.conj(h[np.abs(lag)]))
+    lag = np.subtract.outer(np.arange(h.shape[-1]), np.arange(h.shape[-1]))
+    return np.where(lag >= 0, h[..., np.abs(lag)], np.conj(h[..., np.abs(lag)]))
 
 
 def trig_gram(h: np.ndarray) -> np.ndarray:
@@ -90,28 +91,15 @@ def trig_gram(h: np.ndarray) -> np.ndarray:
 def _gram_map(n: int) -> np.ndarray:
     """Read-only matrix taking [Re h_0..h_2n, Im h_0..h_2n] to the flattened Gram matrix.
 
-    Products of cosines and sines are sums of cosines and sines of the
-    difference and the sum of their frequencies, so each block is a Toeplitz
-    part in h_{k-l} plus a Hankel part in h_{k+l}, with h_{-m} = conj(h_m):
-    4 cos cos = 2 (cos(k-l) + cos(k+l)), 4 sin sin = 2 (cos(k-l) - cos(k+l))
-    and 4 cos sin = 2 (sin(k+l) - sin(k-l)).
+    For e_j = (e^{ik theta_j}), k = -n ... n, and R the packing real_to_coeffs
+    with conjugate rows for k < 0, b_j^T v = e_j^H R v; so the Gram matrix is
+    Re(R^H T R), T the hermitian_toeplitz matrix of h, and the map is that
+    product on the unit moment vectors (adding 0.0 clears signed zeros).
     """
-    unit = np.eye(4 * n + 2)
-    re, im = unit[: 2 * n + 1], unit[2 * n + 1 :]    # coordinates of Re h_m, Im h_m
-    freq = np.arange(1, n + 1)
-    diff, total = np.subtract.outer(freq, freq), np.add.outer(freq, freq)
-    re_toe, im_toe = re[np.abs(diff)], np.sign(diff)[..., None] * im[np.abs(diff)]
-    re_hank, im_hank = re[total], im[total]
-    cos, sin = slice(1, n + 1), slice(n + 1, 2 * n + 1)
-    G = np.zeros((2 * n + 1, 2 * n + 1, 4 * n + 2))
-    G[0, 0] = re[0]
-    G[0, cos] = G[cos, 0] = 2.0 * re[freq]
-    G[0, sin] = G[sin, 0] = 2.0 * im[freq]
-    G[cos, cos] = 2.0 * (re_toe + re_hank)
-    G[sin, sin] = 2.0 * (re_toe - re_hank)
-    G[cos, sin] = 2.0 * (im_hank - im_toe)
-    G[sin, cos] = G[cos, sin].swapaxes(0, 1)
-    W = G.reshape(-1, 4 * n + 2)
+    half = np.array([real_to_coeffs(e) for e in np.eye(2 * n + 1)]).T
+    R = np.vstack((half[:0:-1].conj(), half))
+    T = hermitian_toeplitz(np.vstack((np.eye(2 * n + 1), 1j * np.eye(2 * n + 1))))
+    W = np.ascontiguousarray((R.conj().T @ T @ R).real.reshape(4 * n + 2, -1).T) + 0.0
     W.setflags(write=False)
     return W
 

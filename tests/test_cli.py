@@ -131,6 +131,23 @@ class TestSolve:
         assert capsys.readouterr().err.startswith("ValueError: tolerances must be positive")
         assert not out.exists()
 
+    @pytest.mark.parametrize("option", ["boundary_floor", "backtrack_ratio"])
+    def test_retired_solver_option_is_ignored(self, tmp_path, capsys, option):
+        # both are solver constants now: a file that still sets one is told so,
+        # and runs as the same file without it
+        plain, tuned = tmp_path / "plain", tmp_path / "tuned"
+        assert main(["solve", write_problem(tmp_path, AR1), "--out", str(plain)]) == 0
+        expected = capsys.readouterr()
+        retired = write_problem(tmp_path, {**AR1, "options": {option: 0.25}}, "retired.json")
+        assert main(["solve", retired, "--out", str(tuned)]) == 0
+        got = capsys.readouterr()
+        assert got.out == expected.out
+        assert got.err == f'{retired}: ignoring unknown option "{option}"\n'
+        assert sorted(os.listdir(tuned)) == sorted(os.listdir(plain))
+        for name in os.listdir(plain):
+            if name != "run.json":
+                assert (tuned / name).read_bytes() == (plain / name).read_bytes()
+
     def test_unknown_field_warns_on_stderr(self, tmp_path, capsys):
         data = dict(AR1)
         data["author"] = "me"
@@ -923,8 +940,7 @@ def documents(draw, command):
         doc = {"N": draw(st.one_of(st.just(4), SIZES)),
                "files": draw(st.lists(st.sampled_from(REALIZATIONS), max_size=10))}
     else:
-        options = {"grad_tol": number(1e-14, 1e-6), "max_iter": st.integers(1, 100),
-                   "boundary_floor": number(0.0, 1e-3), "backtrack_ratio": number(0.0, 1.0)}
+        options = {"grad_tol": number(1e-14, 1e-6), "max_iter": st.integers(1, 100)}
         doc = {"N": draw(SIZES), "c": draw(lags(n)),
                "m": draw(st.lists(number(-1.0, 1.0), min_size=n, max_size=n)),
                "p": draw(symbol(n)), "options": draw(st.fixed_dictionaries({}, optional=options)),

@@ -123,7 +123,7 @@ class TestToeplitz:
 
 
 class TestMomentBuiltHessians:
-    @pytest.mark.parametrize("n", [0, 1, 3, 5])
+    @pytest.mark.parametrize("n", range(9))
     @pytest.mark.parametrize("N", [8, 64, 1024])
     def test_gram_matches_dense_product(self, n, N):
         rng = make_rng(100 * N + n)

@@ -543,6 +543,30 @@ class TestGridDoublingProperty:
         assert feasibility_certificate(c, DiscreteGrid(152)).feasible
 
 
+class TestPolygonOracle:
+    """For n = 1 the cone is a polygon: c = (1, c_1) is feasible on N exactly when
+    c_1 lies inside the convex hull of the 2N nodes e^{i pi m/N}: the regular 2N-gon
+    whose edges have outward normals at angles pi (m + 1/2)/N and lie cos(pi/2N) from
+    the origin.  The oracle shares no code with the simplex."""
+
+    def test_degree_one_verdicts(self):
+        rng = make_rng(1301)
+        sizes = [*range(2, 40), 64, 128, 257, 512]
+        checked = 0
+        for _ in range(60):
+            c1 = (1.0 - 10.0 ** rng.uniform(-4.0, -1.0)) * np.exp(2j * np.pi * rng.random())
+            seq = CovarianceSequence([1.0, c1])
+            for N in sizes:
+                normals = np.exp(-1j * np.pi * (np.arange(2 * N) + 0.5) / N)
+                slack = np.cos(np.pi / (2 * N)) - (c1 * normals).real.max()
+                if abs(slack) <= 1e-9:
+                    continue
+                verdict = feasibility_certificate(seq, DiscreteGrid(N)).feasible
+                assert verdict == (slack > 0), (c1, N, slack)
+                checked += 1
+        assert checked >= 2500
+
+
 class TestOrdinaryMaxentOracle:
     """maxent_solve tends to the N = infinity solution at the aliasing rate.
 
