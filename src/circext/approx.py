@@ -27,6 +27,7 @@ from .moments import CovarianceSequence, feasibility_certificate, toeplitz_posit
 DEFAULT_N_MAX = 4096
 DEFAULT_REFERENCE_N = 4096
 MONOTONE_FLOOR = 1e-12    # distances below this (relative) count as ties
+SCHEDULE_CAP = 512        # largest grid size of a default schedule
 
 
 class NotInOuterCone(ValueError):
@@ -90,11 +91,11 @@ def find_threshold(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> int:
     return hi
 
 
-def default_schedule(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX, cap: int = 512) -> list[int]:
-    """Doubling schedule N0, 2 N0, 4 N0, ... capped, from the feasibility threshold."""
+def default_schedule(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> list[int]:
+    """Doubling schedule N0, 2 N0, 4 N0, ... up to SCHEDULE_CAP, from the feasibility threshold."""
     start = find_threshold(c, n_max)
     schedule = [start]
-    while schedule[-1] * 2 <= cap:
+    while schedule[-1] * 2 <= SCHEDULE_CAP:
         schedule.append(schedule[-1] * 2)
     return schedule
 

@@ -55,6 +55,7 @@ from .moments import CepstralSequence, CovarianceSequence, cepstral_moments
 
 BOUNDARY_DETECT_TOL = 1e-12
 DEFAULT_REGULARIZATION = 1e-3
+EPSILON_TOL = 1e-8       # relative agreement epsilon_report demands of the attained log moments
 
 
 @dataclass
@@ -266,12 +267,12 @@ def joint_solve(
     )
 
 
-def epsilon_report(report: JointReport, tol: float = 1e-8) -> np.ndarray:
+def epsilon_report(report: JointReport) -> np.ndarray:
     """Adjusted cepstral targets m_k + epsilon_k, k = 1 ... n.
 
     These are the logarithmic moments the solved spectrum actually attains:
     the function recomputes integrate(log(P/Q), k) from the report and
-    verifies agreement within tol before returning.  Only defined for a
+    verifies agreement within EPSILON_TOL before returning.  Only defined for a
     report solved with regularization > 0.
     """
     if report.epsilon is None:
@@ -280,7 +281,7 @@ def epsilon_report(report: JointReport, tol: float = 1e-8) -> np.ndarray:
     attained = cepstral_moments(report.phi, report.m.n).m
     worst = float(np.max(np.abs(attained - adjusted)))
     scale = max(1.0, float(np.max(np.abs(adjusted))))
-    if worst > tol * scale:
+    if worst > EPSILON_TOL * scale:
         raise AssertionError(
             f"adjusted cepstra differ from attained log moments by {worst:.3e}"
         )
@@ -299,19 +300,15 @@ def lambda_path(
     return reports
 
 
-def continuation_solve(
-    prob: JointProblem, opts: SolverOptions | None = None, start: float = 1.0
-) -> JointReport:
+def continuation_solve(prob: JointProblem, opts: SolverOptions | None = None) -> JointReport:
     """Solve a chain of decreasing regularizations along `lambda_path`.
 
-    Stages shrink geometrically from `start` (a tenth per stage) and finish
-    at the problem's stored regularization exactly.  Useful near the boundary
-    of the cepstral cone, where a cold solve at small lambda stalls.
+    Stages shrink a tenth at a time from 1 (a target above 1 is one stage) and
+    finish at the problem's stored regularization exactly.  Useful near the
+    boundary of the cepstral cone, where a cold solve at small lambda stalls.
     """
     target = prob.regularization
-    if not (0 < start < np.inf and start >= target):
-        raise ValueError(f"need a finite start > 0 and start >= target regularization, got {start}")
-    lams, lam = [], start
+    lams, lam = [], 1.0
     while lam > max(target, 1e-16) * (1.0 + 1e-9):
         lams.append(lam)
         lam /= 10.0

@@ -33,7 +33,7 @@ class SingularSymbolError(ValueError):
     """A symbol sample is (numerically) zero where an inverse is required."""
 
 
-@dataclass
+@dataclass(eq=False)
 class SymmetricPseudoPolynomial:
     """Hermitian coefficient list p_0 ... p_n with p_{-k} = conj(p_k) implicit.
 
@@ -50,13 +50,6 @@ class SymmetricPseudoPolynomial:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SymmetricPseudoPolynomial)
-            and self.coeffs.shape == other.coeffs.shape
-            and bool(np.array_equal(self.coeffs, other.coeffs))
-        )
 
 
 def _hermitian_coefficients(values, name: str, first: str) -> np.ndarray:

@@ -118,7 +118,7 @@ def run_solve(args, maxent: bool = False) -> int:
     report = newton_solve(DualProblem(spec.grid, spec.c, p), opts)
     fileio.dump_json(fileio.solution_to_dict(report), _out_path(args, "solution.json"))
     fileio.write_spectrum_csv(_out_path(args, "spectrum.csv"), report.phi)
-    fileio.write_extended_csv(_out_path(args, "extended_c.csv"), report.extended_c)
+    fileio.write_complex_csv(_out_path(args, "extended_c.csv"), "k,re,im", report.extended_c)
     print(
         f"matched {spec.c.n + 1} lags on N={spec.grid.N} in {report.iterations} "
         f"iterations, residual {report.residual:.3e}"

@@ -352,14 +352,9 @@ def write_spectrum_csv(path: str, phi: SpectrumSamples) -> None:
     _write_table(path, "theta,phi", [phi.grid.angles, phi.real_values()])
 
 
-def write_extended_csv(path: str, extended_c: np.ndarray) -> None:
-    z = np.asarray(extended_c, dtype=complex)
-    _write_table(path, "k,re,im", [np.arange(z.size), z.real, z.imag])
-
-
-def write_realization_csv(path: str, y: np.ndarray) -> None:
-    z = np.asarray(y, dtype=complex)
-    _write_table(path, "t,re,im", [np.arange(z.size), z.real, z.imag])
+def write_complex_csv(path: str, header: str, values: np.ndarray) -> None:
+    z = np.asarray(values, dtype=complex)
+    _write_table(path, header, [np.arange(z.size), z.real, z.imag])
 
 
 def read_realization_csv(path: str, grid: DiscreteGrid) -> np.ndarray:
@@ -374,7 +369,7 @@ def write_ensemble(out_dir: str, realizations: np.ndarray, grid, seed, model_has
     """Write one CSV per realization plus a manifest; returns the file names."""
     names = [f"realization_{r:04d}.csv" for r in range(realizations.shape[0])]
     for name, row in zip(names, realizations):
-        write_realization_csv(os.path.join(out_dir, name), row)
+        write_complex_csv(os.path.join(out_dir, name), "t,re,im", row)
     manifest = {
         "version": FORMAT_VERSION,
         "kind": "ensemble",

@@ -139,19 +139,17 @@ def is_hermitian_even(grid, values, tol: float = SYMMETRY_TOL):
     return abs(v[-1].imag) <= tol * scale
 
 
-def _transform(values: np.ndarray, inverse: bool = False, node_order: bool = True) -> np.ndarray:
+def _transform(values: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Grid transform of every (..., 2N) row along the last axis.
 
     Forward: G(zeta_j) = sum_k g_k zeta_j^{-k}; inverse: g_k = (1/2N) sum_j
     zeta_j^k G(zeta_j).  One FFT per row, then the shift from FFT order to
     the window -N+1 ... N (FFT slots N+1 ... 2N-1 first) times its phase, in one pass.
-    node_order=False multiplies in place and keeps FFT order: np.roll by N - 1 gives the same bits.
+    The phase has modulus one, so a periodogram skips it and takes the plain FFT.
     """
     N = values.shape[-1] // 2
     raw = np.fft.ifft(values, axis=-1) if inverse else np.fft.fft(values, axis=-1)
     phase = np.exp((-1j if inverse else 1j) * np.pi * (N - 1) * np.arange(-N + 1, N + 1) / N)
-    if not node_order:
-        return np.multiply(raw, np.roll(phase, 1 - N), out=raw)
     out = np.empty_like(raw)
     np.multiply(raw[..., N + 1:], phase[: N - 1], out=out[..., : N - 1])
     np.multiply(raw[..., : N + 1], phase[N - 1:], out=out[..., N - 1:])

@@ -6,6 +6,8 @@ internals (explicit loops, no shared kernels).
 """
 
 import cmath
+import json
+import os
 
 import numpy as np
 import pytest
@@ -100,14 +102,31 @@ def dft_loop(grid, coefficients):
 
 
 def central_difference(f, x, h=1e-6):
-    """Central finite-difference gradient of a scalar function of a real vector."""
+    """Central finite-difference derivative of f at a real vector x, one last-axis entry per coordinate.
+
+    A scalar f gives its gradient; a vector f gives its Jacobian, row i the derivative of f_i.
+    """
     x = np.asarray(x, dtype=float)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = h
-        grad[i] = (f(x + step) - f(x - step)) / (2.0 * h)
-    return grad
+    return np.stack([(f(x + step) - f(x - step)) / (2.0 * h) for step in h * np.eye(x.size)], axis=-1)
+
+
+def rewrite_record(path, record, indent):
+    """Write record to path as sorted JSON; print the labels whose value differs from the file on disk.
+
+    A label only in the new record prints as (new), one only on disk as (gone).
+    """
+    old = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            old = json.load(fh)
+    moved = sorted(label for label in record.keys() | old.keys() if record.get(label) != old.get(label))
+    print(f"{os.path.basename(path)}: {len(moved)} of {len(record)} entries moved")
+    for label in moved:
+        note = " (new)" if label not in old else " (gone)" if label not in record else ""
+        print(f"  {label}{note}")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
 
 
 def symbol_norm(p):

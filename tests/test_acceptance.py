@@ -366,7 +366,7 @@ def test_criterion_7_cepstral_round_trip():
 
     regular = joint_solve(JointProblem(grid, c, m, regularization=0.01))
     assert regular.covariance_residual <= 1e-8 * max(1.0, c.sup_norm())
-    adjusted = epsilon_report(regular, tol=1e-8)
+    adjusted = epsilon_report(regular)
     attained = np.array(
         [integrate(SpectrumSamples(grid, np.log(regular.phi.real_values())), k)
          for k in range(1, 3)]

@@ -58,12 +58,14 @@ class TestThreshold:
 
 
 class TestSchedule:
-    def test_doubles_from_threshold(self):
-        assert default_schedule(CovarianceSequence([1.0, 0.0]), cap=32) == [2, 4, 8, 16, 32]
-        assert default_schedule(AWKWARD, cap=40) == [4, 8, 16, 32]
+    def test_doubles_from_threshold(self, monkeypatch):
+        assert default_schedule(CovarianceSequence([1.0, 0.0])) == [2, 4, 8, 16, 32, 64, 128, 256, 512]
+        monkeypatch.setattr(approx, "SCHEDULE_CAP", 40)
+        assert default_schedule(AWKWARD) == [4, 8, 16, 32]
 
-    def test_cap_below_threshold_keeps_one_entry(self):
-        assert default_schedule(AWKWARD, cap=4) == [4]
+    def test_cap_below_threshold_keeps_one_entry(self, monkeypatch):
+        monkeypatch.setattr(approx, "SCHEDULE_CAP", 4)
+        assert default_schedule(AWKWARD) == [4]
 
 
 class TestSweep:

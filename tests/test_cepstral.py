@@ -28,9 +28,12 @@ from circext import (
     maxent_solve,
 )
 from circext import cepstral
+from circext.cepstral import _joint_derivatives, _joint_objective, _params, _real_hessian
+from circext.dual import _real_gradient
 from circext.fileio import load_problem
+from circext.kernels import trig_basis
 
-from conftest import make_rng, random_positive_symbol, symbol_distance
+from conftest import central_difference, make_rng, random_positive_symbol, symbol_distance
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -195,6 +198,33 @@ class TestDerivatives:
                     scale = max(1.0, float(np.max(np.abs(H))))
                     np.testing.assert_allclose(H[:, col], column, atol=1e-5 * scale)
 
+    @pytest.mark.parametrize("n, N", [(1, 8), (3, 64), (5, 256)])
+    @pytest.mark.parametrize("lam", [0.0, 1e-3])
+    def test_solver_triple_matches_central_differences(self, n, N, lam):
+        # the objective, real gradient and real Hessian joint_solve itself runs
+        rng = make_rng(557 + N)
+        grid = DiscreteGrid(N)
+        c = covariance_moments(eval_symbol(random_positive_symbol(rng, n, grid), grid), n)
+        m = CepstralSequence(0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        prob = JointProblem(grid, c, m, regularization=lam)
+        B = trig_basis(grid.angles, n)
+
+        def samples(u):
+            return np.array((1.0 + u[2 * n + 1 :] @ B[1:], u[: 2 * n + 1] @ B))
+
+        def objective(u):
+            return _joint_objective(prob, u, samples(u))
+
+        def gradient(u):
+            return _real_gradient(*_joint_derivatives(prob, samples(u))[0])
+
+        for _ in range(3):
+            u = _params(normalized_positive(rng, n, grid), random_positive_symbol(rng, n, grid))
+            blocks, mom = _joint_derivatives(prob, samples(u))
+            for analytic, f in ((_real_gradient(*blocks), objective), (_real_hessian(mom), gradient)):
+                fd = central_difference(f, u)
+                np.testing.assert_allclose(analytic, fd, atol=1e-5 * max(1.0, float(np.max(np.abs(fd)))))
+
 
 class TestRoundTrip:
     def test_exact_recovery_without_regularization(self):
@@ -218,7 +248,7 @@ class TestRoundTrip:
         assert report.covariance_residual <= 1e-8 * scale
         assert report.epsilon is not None
         # the epsilon-adjusted targets are the log moments actually attained
-        adjusted = epsilon_report(report, tol=1e-8)
+        adjusted = epsilon_report(report)
         assert adjusted.shape == (c.n,)
         np.testing.assert_allclose(adjusted, m.m + report.epsilon, atol=1e-14)
         log_phi = np.log(report.phi.real_values())
@@ -372,7 +402,7 @@ class TestBoundary:
         report = joint_solve(JointProblem(grid, c, m))
         assert report.covariance_residual <= 1e-8
         assert not report.boundary_flag
-        epsilon_report(report, tol=1e-8)
+        epsilon_report(report)
         assert eval_symbol(report.p, grid).real_values().min() > 0.0
 
 
@@ -381,26 +411,21 @@ class TestContinuation:
         grid, p0, q0, spectrum, c, m = consistent_instance()
         prob = JointProblem(grid, c, m, regularization=1e-2)
         direct = joint_solve(prob)
-        staged = continuation_solve(prob, start=1.0)
+        staged = continuation_solve(prob)
         assert symbol_distance(direct.q, staged.q) <= 1e-8
         assert symbol_distance(direct.p, staged.p) <= 1e-8
 
-    def test_start_validation(self):
+    @pytest.mark.parametrize("target, weights", [
+        (1e-2, [1.0, 0.1, 1e-2]),
+        (1.0, [1.0]),
+        (5.0, [5.0]),
+    ])
+    def test_stages_shrink_a_tenth_from_one(self, monkeypatch, target, weights):
         grid, p0, q0, spectrum, c, m = consistent_instance()
-        prob = JointProblem(grid, c, m, regularization=1e-2)
-        with pytest.raises(ValueError):
-            continuation_solve(prob, start=0.0)
-        with pytest.raises(ValueError):
-            continuation_solve(prob, start=1e-3)
-
-    def test_non_finite_start_is_refused_before_any_solve(self, monkeypatch):
-        # nan once ran a cold solve at the target, and inf staged forever
-        grid, p0, q0, spectrum, c, m = consistent_instance()
-        prob = JointProblem(grid, c, m, regularization=1e-2)
-        monkeypatch.setattr(cepstral, "joint_solve", lambda *a, **k: pytest.fail("solved"))
-        for start in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="finite start"):
-                continuation_solve(prob, start=start)
+        seen = []
+        monkeypatch.setattr(cepstral, "lambda_path", lambda prob, lams, opts: seen.append(lams) or [None])
+        continuation_solve(JointProblem(grid, c, m, regularization=target))
+        assert seen == [weights]
 
 
 class TestLambdaPath:

@@ -7,6 +7,7 @@ from circext import (
     Circulant,
     CyclicShift,
     DiscreteGrid,
+    GridMismatchError,
     HermitianCirculant,
     Signal,
     SingularSymbolError,
@@ -101,6 +102,12 @@ class TestSymbol:
         p = random_symbol(rng, n)
         q = symbol_from_samples(eval_symbol(p, grid), n)
         np.testing.assert_allclose(q.coeffs, p.coeffs, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [-1, 5])
+    def test_sample_degree_must_lie_in_the_window(self, n):
+        grid = DiscreteGrid(4)
+        with pytest.raises(ValueError, match="outside"):
+            symbol_from_samples(SpectrumSamples(grid, np.ones(grid.size)), n)
 
     def test_samples_round_trip_at_full_degree(self):
         # any real sample vector is reproduced exactly by its degree-N symbol
@@ -229,6 +236,16 @@ class TestAlgebra:
         values[2] = 0.0
         with pytest.raises(SingularSymbolError):
             invert(Circulant(grid, values))
+
+    def test_operands_on_other_grids_are_refused(self):
+        small, large = DiscreteGrid(3), DiscreteGrid(4)
+        signal = Signal(large, np.ones(large.size))
+        with pytest.raises(GridMismatchError):
+            HermitianCirculant.identity(small).apply(signal)
+        with pytest.raises(GridMismatchError):
+            CyclicShift(small).apply(signal)
+        with pytest.raises(GridMismatchError):
+            multiply(HermitianCirculant.identity(small), CyclicShift(large))
 
     def test_products_of_real_symbols_stay_hermitian(self):
         rng = make_rng(61)

@@ -20,6 +20,8 @@ from circext import approx, cli
 from circext import fileio as fio
 from circext.cli import main
 
+from conftest import rewrite_record
+
 WHITE = {"version": 1, "N": 8, "c": [[1.0, 0.0]]}
 AR1 = {"version": 1, "N": 8, "c": [[1.0, 0.0], [0.3, 0.1]]}
 AWKWARD = {"version": 1, "N": 3, "c": [[1.0, 0.0], [0.0, 0.0], [-0.95, 0.0]]}
@@ -110,6 +112,16 @@ class TestSolve:
         out = tmp_path / "o"
         assert main(["maxent", str(problem), "--out", str(out)]) == 1
         assert "non-finite number 1e400" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_numerator_modulus_exits_one(self, tmp_path, capsys):
+        # each part is finite, but |1.7e308 + 1.7e308i| is not
+        problem = write_problem(tmp_path, dict(AR1, p=[1.0, 1.7e308, 1.7e308]))
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["solve", problem, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith('InputFormatError: field "p"')
         assert not out.exists()
 
     @pytest.mark.parametrize("command, flags", [
@@ -862,9 +874,7 @@ def write_census():
     for label in CENSUS_RUNS:
         with tempfile.TemporaryDirectory() as tmp:
             census[label] = census_entry(label, pathlib.Path(tmp))
-    with open(CENSUS, "w", encoding="utf-8") as fh:
-        json.dump(census, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rewrite_record(CENSUS, census, indent=2)
 
 
 class TestOutputCensus:
@@ -990,7 +1000,7 @@ class TestAnyInputFile:
                 os.mkdir(path)
                 for seed, name in enumerate(REALIZATIONS):
                     y = np.random.default_rng(seed).standard_normal(8)
-                    fio.write_realization_csv(os.path.join(path, name), y)
+                    fio.write_complex_csv(os.path.join(path, name), "t,re,im", y)
                 extra = ["--degree", str(data.draw(st.integers(-1, 4), label="--degree"))]
                 extra += ["--cepstral"] if flag else []
             if command == "cepstral" and flag:

@@ -38,12 +38,16 @@ from circext import (
     newton_solve,
 )
 from circext.cepstral import lambda_path
+from circext.dual import _dual_derivatives, _dual_objective, _real_gradient
+from circext.kernels import coeffs_to_real, trig_basis, trig_gram
 
 from conftest import (
+    central_difference,
     make_rng,
     random_feasible_covariances,
     random_hermitian_tail,
     random_positive_symbol,
+    rewrite_record,
     symbol_distance,
 )
 
@@ -261,6 +265,27 @@ class TestDerivatives:
                 scale = max(1.0, float(np.max(np.abs(H))))
                 np.testing.assert_allclose(H[:, l], column, atol=1e-5 * scale)
 
+    @pytest.mark.parametrize("n, N", [(1, 8), (3, 64), (5, 256)])
+    def test_solver_triple_matches_central_differences(self, n, N):
+        # the objective, real gradient and real Hessian newton_solve itself runs
+        rng = make_rng(353 + N)
+        grid = DiscreteGrid(N)
+        prob = DualProblem(grid, random_feasible_covariances(rng, n, grid), random_positive_symbol(rng, n, grid))
+        B = trig_basis(grid.angles, n)
+
+        def objective(v):
+            return _dual_objective(prob, v, v @ B)
+
+        def gradient(v):
+            return _real_gradient(*_dual_derivatives(prob, v @ B)[0])
+
+        for _ in range(3):
+            v = coeffs_to_real(random_positive_symbol(rng, n, grid).coeffs)
+            blocks, mom = _dual_derivatives(prob, v @ B)
+            for analytic, f in ((_real_gradient(*blocks), objective), (trig_gram(mom), gradient)):
+                fd = central_difference(f, v)
+                np.testing.assert_allclose(analytic, fd, atol=1e-5 * max(1.0, float(np.max(np.abs(fd)))))
+
 
 class TestUniqueness:
     def test_multiple_starts_agree(self):
@@ -382,6 +407,12 @@ class TestBoundaryNumerator:
 
 
 class TestFailureModes:
+    def test_denominator_of_another_degree_is_refused(self):
+        grid = DiscreteGrid(8)
+        prob = DualProblem(grid, CovarianceSequence([1.0, 0.3]), constant_symbol(1.0))
+        with pytest.raises(ValueError, match="denominator degree 2 differs from the problem degree 1"):
+            dual_value(prob, SymmetricPseudoPolynomial(np.array([2.0, 0.1, 0.1])))
+
     @pytest.mark.parametrize("N", [3, 5])
     def test_infeasible_lags_collapse(self, N):
         grid = DiscreteGrid(N)
@@ -553,9 +584,7 @@ def newton_runs():
 def write_newton_record():
     """Record every solve in tests/golden/newton_census.json."""
     record = {label: solve_entry(solve, *args) for label, (solve, args) in newton_runs().items()}
-    with open(NEWTON_RECORD, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    rewrite_record(NEWTON_RECORD, record, indent=1)
 
 
 class TestNewtonRecord:

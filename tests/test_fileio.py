@@ -52,6 +52,10 @@ class TestNumberFormat:
         assert "[1, 0.25" not in first
         assert "[1, 0]" in first
 
+    def test_empty_containers_stay_on_one_line(self):
+        assert fio._emit({}) == "{}"
+        assert fio._emit({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
+
     def test_emitter_rejects_unknown_types(self):
         with pytest.raises(TypeError):
             fio._emit({"bad": object()})
@@ -368,13 +372,13 @@ class TestCsv:
         rng = np.random.default_rng(31)
         y = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
         path = tmp_path / "row.csv"
-        fio.write_realization_csv(str(path), y)
+        fio.write_complex_csv(str(path), "t,re,im", y)
         back = fio.read_realization_csv(str(path), grid)
         np.testing.assert_array_equal(back, y)
 
     def test_realization_shape_check(self, tmp_path):
         path = tmp_path / "short.csv"
-        fio.write_realization_csv(str(path), np.zeros(4, dtype=complex))
+        fio.write_complex_csv(str(path), "t,re,im", np.zeros(4, dtype=complex))
         with pytest.raises(fio.InputFormatError):
             fio.read_realization_csv(str(path), DiscreteGrid(4))
 
@@ -391,7 +395,7 @@ class TestCsv:
 
     def test_extended_csv(self, tmp_path):
         path = tmp_path / "extended.csv"
-        fio.write_extended_csv(str(path), np.array([1.0, 0.3 + 0.1j]))
+        fio.write_complex_csv(str(path), "k,re,im", np.array([1.0, 0.3 + 0.1j]))
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "k,re,im"
         assert lines[1].startswith("0,1,")
@@ -478,8 +482,8 @@ class TestWriterProperties:
         z = re.astype(complex)
         z.imag = im    # re + 1j * im would turn an imaginary -0.0 into 0.0
         rows = list(zip(range(z.size), re.tolist(), im.tolist()))
-        assert written(fio.write_extended_csv, z) == reference_table("k,re,im", rows)
-        assert written(fio.write_realization_csv, z) == reference_table("t,re,im", rows)
+        assert written(fio.write_complex_csv, "k,re,im", z) == reference_table("k,re,im", rows)
+        assert written(fio.write_complex_csv, "t,re,im", z) == reference_table("t,re,im", rows)
 
     @PROPERTY
     @given(float_arrays(5, 12), float_arrays(2, 2), st.integers(-(10**12), 10**12))
@@ -503,10 +507,10 @@ class TestWriterProperties:
         )
         rows = [(i, 1.0, x) for i, x in enumerate(values.tolist())]
         assert refused(fio.write_csv, "i,one,x", rows)
-        assert refused(fio.write_extended_csv, values)
+        assert refused(fio.write_complex_csv, "k,re,im", values)
         imaginary = np.zeros(values.size, dtype=complex)
         imaginary.imag = values
-        assert refused(fio.write_realization_csv, imaginary)
+        assert refused(fio.write_complex_csv, "t,re,im", imaginary)
         assert refused(lambda path, obj: fio.dump_json(obj, path), {"values": values.tolist()})
         if values.size % 2 == 0:
             phi = SpectrumSamples(DiscreteGrid(values.size // 2), values)

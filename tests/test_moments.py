@@ -20,12 +20,14 @@ from circext import (
     covariance_moments,
     eval_symbol,
     feasibility_certificate,
+    find_threshold,
     inner_product,
     integrate,
     maxent_solve,
     toeplitz_matrix,
     toeplitz_positive,
 )
+from circext import approx
 from circext.moments import CERT_TOL, UNCHECKED_MESSAGE
 
 from conftest import (
@@ -201,6 +203,12 @@ class TestMomentExtraction:
         values[0] = 0.0
         with pytest.raises(ValueError):
             cepstral_moments(SpectrumSamples(grid, values), 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_covariance_lags_must_stay_below_N(self, n):
+        grid = DiscreteGrid(3)
+        with pytest.raises(ValueError, match="0 <= n < N=3"):
+            covariance_moments(SpectrumSamples(grid, np.ones(grid.size)), n)
 
     def test_scaling_shifts_only_the_mean(self):
         # log(alpha phi) = log alpha + log phi, so lags k >= 1 are unchanged
@@ -549,6 +557,12 @@ class TestPolygonOracle:
     whose edges have outward normals at angles pi (m + 1/2)/N and lie cos(pi/2N) from
     the origin.  The oracle shares no code with the simplex."""
 
+    @staticmethod
+    def slack(c1, N):
+        """Distance of c_1 inside the 2N-gon; negative outside."""
+        normals = np.exp(-1j * np.pi * (np.arange(2 * N) + 0.5) / N)
+        return np.cos(np.pi / (2 * N)) - (c1 * normals).real.max()
+
     def test_degree_one_verdicts(self):
         rng = make_rng(1301)
         sizes = [*range(2, 40), 64, 128, 257, 512]
@@ -557,14 +571,29 @@ class TestPolygonOracle:
             c1 = (1.0 - 10.0 ** rng.uniform(-4.0, -1.0)) * np.exp(2j * np.pi * rng.random())
             seq = CovarianceSequence([1.0, c1])
             for N in sizes:
-                normals = np.exp(-1j * np.pi * (np.arange(2 * N) + 0.5) / N)
-                slack = np.cos(np.pi / (2 * N)) - (c1 * normals).real.max()
+                slack = self.slack(c1, N)
                 if abs(slack) <= 1e-9:
                     continue
                 verdict = feasibility_certificate(seq, DiscreteGrid(N)).feasible
                 assert verdict == (slack > 0), (c1, N, slack)
                 checked += 1
         assert checked >= 2500
+
+    def test_threshold_contract(self, monkeypatch):
+        # find_threshold's N is feasible and N - 1 is not (unless N = 2), on draws whose
+        # bisection also meets infeasible midpoints after a feasible probe
+        rng = np.random.default_rng(3)
+        certify, verdicts = approx._is_feasible, []
+        monkeypatch.setattr(approx, "_is_feasible", lambda c, N: verdicts.append(certify(c, N)) or verdicts[-1])
+        bisected_down = 0
+        for _ in range(40):
+            c1 = (1.0 - 10.0 ** rng.uniform(-3.0, -1.0)) * np.exp(2j * np.pi * rng.random())
+            verdicts.clear()
+            N = find_threshold(CovarianceSequence([1.0, c1]), n_max=512)
+            assert self.slack(c1, N) > 1e-9, (c1, N)
+            assert N == 2 or self.slack(c1, N - 1) < -1e-9, (c1, N)
+            bisected_down += not all(verdicts[verdicts.index(True):])
+        assert bisected_down >= 20
 
 
 class TestOrdinaryMaxentOracle:

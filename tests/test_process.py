@@ -26,7 +26,7 @@ from circext import (
     sample_realizations,
 )
 
-from conftest import make_rng
+from conftest import make_rng, rewrite_record
 
 
 def ar_model(N=8):
@@ -221,6 +221,24 @@ class TestPeriodogram:
         for k in range(grid.N + 1):
             direct = np.mean(np.roll(y, -k) * np.conj(y))
             assert integrate(per, k) == pytest.approx(direct, abs=1e-12)
+
+
+    def test_one_realization_only(self):
+        grid = DiscreteGrid(4)
+        for shape in ((1, grid.size), (grid.size + 1,)):
+            with pytest.raises(ValueError, match="one realization"):
+                periodogram(np.ones(shape), grid)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 4096])
+    def test_dropped_phase_is_invisible(self, N):
+        # the periodogram skips the grid transform's unit-modulus phase
+        rng = make_rng(611 + N)
+        grid = DiscreteGrid(N)
+        real = rng.standard_normal(grid.size)
+        for y in (real, real + 1j * rng.standard_normal(grid.size)):
+            expected = np.abs(dft(Signal(grid, y)).values) ** 2 / grid.size
+            got = periodogram(y, grid).real_values()
+            assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(expected)
 
 
 class TestEstimation:
@@ -454,10 +472,7 @@ def sampling_runs():
 
 def write_sampling_record():
     """Record every run in tests/golden/sampling_census.json."""
-    record = {label: run() for label, run in sampling_runs().items()}
-    with open(SAMPLING_RECORD, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    rewrite_record(SAMPLING_RECORD, {label: run() for label, run in sampling_runs().items()}, indent=1)
 
 
 class TestSamplingRecord:

@@ -21,7 +21,7 @@ from circext.simplex import (
     simplex_maximize,
 )
 
-from conftest import arma_lags, line_lags, make_rng
+from conftest import arma_lags, line_lags, make_rng, rewrite_record
 
 
 def linprog_maximize(obj, A, b):
@@ -92,6 +92,15 @@ class TestEdgeCases:
         x, value = simplex_maximize(obj, A, b)
         assert value == pytest.approx(6.0)
         np.testing.assert_allclose(np.array(A) @ x, b, atol=1e-9)
+
+    @pytest.mark.parametrize("obj", [[-1.0, -1.0], [1.0, -2.0]])
+    def test_zero_level_artificial_pivots_out(self, obj):
+        # x1 = x2 twice over: phase one ends with an artificial basic at level zero
+        # whose row still meets an original column, so it pivots out instead of
+        # dropping; without that row the second objective would be unbounded
+        x, value = simplex_maximize(obj, [[1.0, -1.0], [-1.0, 1.0]], [0.0, 0.0])
+        np.testing.assert_array_equal(x, [0.0, 0.0])
+        assert value == 0.0
 
     def test_negative_rhs_flip(self):
         # -x1 = -2 is x1 = 2 after the sign normalization
@@ -355,10 +364,7 @@ def record_runs():
 
 def write_record():
     """Record every run in tests/golden/certificate_census.json."""
-    record = {label: entry(*args) for label, (entry, args) in record_runs().items()}
-    with open(LP_RECORD, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    rewrite_record(LP_RECORD, {label: entry(*args) for label, (entry, args) in record_runs().items()}, indent=2)
 
 
 class TestLPRecord:
