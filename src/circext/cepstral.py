@@ -80,8 +80,6 @@ class JointProblem:
             )
         if self.c.n > self.grid.N - 1:
             raise ValueError(f"need degree <= N-1, got {self.c.n} on N={self.grid.N}")
-        if self.c.n < 1:
-            raise ValueError("joint matching needs degree at least 1")
         if not 0 <= self.regularization < np.inf:
             raise ValueError(f"regularization must be finite and >= 0, got {self.regularization}")
 

@@ -11,9 +11,11 @@ driver `_damped_newton`, which cepstral.joint_solve shares, runs over the 2n+1
 real parameters (q_0, Re q_k, Im q_k): each step solves the Newton system and
 backtracks until the iterate is interior and the objective has decreased, or,
 below the objective's rounding, until a full step lowers the residual.  A
-solve builds its trig basis once.  Each iteration pays for one FFT of P/Q and
-P/Q^2, O(N log N), and an eigvalsh and a solve of the Hessian built from those
-moments, O(n^3); each trial step, for the samples w @ basis and one objective.
+constant numerator starts at the N = infinity answer (Yule-Walker), off only
+by aliasing.  A solve builds its trig basis once.  Each iteration pays for one
+FFT of P/Q and P/Q^2, O(N log N), and an eigvalsh and a solve of the Hessian
+built from those moments, O(n^3); each trial step, for the samples w @ basis
+and one objective.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ class MaxIterationsError(RuntimeError):
 
 
 class BoundaryCollapseError(RuntimeError):
-    """Backtracking pinned the iterate to the positivity floor.
+    """Backtracking pinned the iterate to the positivity floor, or <C,Q> <= 0 at a Q > 0.
 
-    With a nonzero gradient this signals that the lags are likely outside the
-    feasible cone for this grid; run feasibility_certificate to confirm.
+    The latter proves the lags infeasible on the grid; the former, with a nonzero
+    gradient, signals that they likely are: run feasibility_certificate to confirm.
     """
 
     def __init__(self, message, iteration, residual, min_sample):
@@ -180,7 +182,7 @@ def _real_gradient(gq: np.ndarray, gp: np.ndarray | None = None) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hint):
+def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hint, refutes=None):
     """Minimize objective(v, s) over real parameters v with node samples s = samples(v).
 
     The samples must stay above BOUNDARY_FLOOR.  derivatives(s) gives the
@@ -188,7 +190,8 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
     hessian(moments) turns into the real Hessian.  Returns (v, s, blocks,
     moments, iterations, trace) once every gradient component is at most
     opts.grad_tol * scale.  A stalled line search or a singular Newton system
-    raises BoundaryCollapseError, whose message hint ends.
+    raises BoundaryCollapseError, whose message hint ends; so does an interior
+    trial point at which refutes(v) holds, a proof that no minimizer exists.
     """
     s = samples(v)
     if s.min() <= BOUNDARY_FLOOR:
@@ -218,6 +221,8 @@ def _damped_newton(v, samples, objective, derivatives, hessian, opts, scale, hin
             v_new = v + t * step
             s_new = samples(v_new)
             if (low := s_new.min()) > BOUNDARY_FLOOR:
+                if refutes is not None and refutes(v_new):
+                    raise _collapse("<C,Q> <= 0 at a grid-positive Q", iteration, residual, s_new, hint)
                 candidate = objective(v_new, s_new)
                 if candidate <= current + slack:
                     break
@@ -252,9 +257,10 @@ def _residual(blocks) -> float:
 def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> SolutionReport:
     """Minimize the dual objective; returns the matched denominator and spectrum.
 
-    Starts from Q = (integral P dnu)/c_0 (constant) unless opts.initial_q is
-    given.  Raises BoundaryCollapseError when backtracking cannot leave the
-    positivity floor and MaxIterationsError when the budget runs out.
+    Without opts.initial_q, a constant P = p_0 starts from p_0 times the Yule-Walker
+    denominator where that is interior, else from Q = (integral P dnu)/c_0.  Raises
+    BoundaryCollapseError when backtracking cannot leave the positivity floor or
+    <C,Q> <= 0 at a grid-positive Q, and MaxIterationsError when the budget runs out.
     """
     grid = prob.grid
     B = trig_basis(grid.angles, prob.n)
@@ -284,6 +290,10 @@ def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
         coeffs[: q0.degree + 1] = q0.coeffs
     else:
         coeffs[0] = float(np.mean(pv)) / prob.c.c[0].real
+        if not np.any(prob.p.coeffs[1:]) and (q := _yule_walker_q(prob.c.c)) is not None:
+            q *= prob.p.coeffs[0].real
+            if (coeffs_to_real(q) @ B).min() > BOUNDARY_FLOOR:
+                coeffs = q
     return _damped_newton(
         coeffs_to_real(coeffs),
         lambda w: w @ B,
@@ -294,7 +304,25 @@ def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
         max(1.0, prob.c.sup_norm()),
         "; the lags are likely infeasible on this grid "
         "(feasibility_certificate gives the exact answer)",
+        # feasible lags give <C,Q> = integral Phi Q dnu > 0 at every grid-positive Q
+        lambda w: pairing(prob.c.c, real_to_coeffs(w)) <= 0.0,
     )
+
+
+def _yule_walker_q(c: np.ndarray) -> np.ndarray | None:
+    """q_0 ... q_n of the N = infinity maximum-entropy denominator |a|^2 / sigma^2, or None.
+
+    x solves T_n x = e_0 (T[k, l] = c_{k-l}); a = x / x_0, sigma^2 = 1 / x_0 and q is the
+    autocorrelation of w = a / sigma.  None when T_n is singular or x_0 > 0 fails (NaN too).
+    """
+    try:
+        x = np.linalg.solve(hermitian_toeplitz(c), np.eye(c.size)[0])
+    except np.linalg.LinAlgError:
+        return None
+    if not x[0].real > 0.0:
+        return None
+    w = x / np.sqrt(x[0].real)
+    return np.correlate(w, w, "full")[c.size - 1 :]
 
 
 def complete_covariances(report) -> np.ndarray:

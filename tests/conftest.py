@@ -110,10 +110,18 @@ def central_difference(f, x, h=1e-6):
     return np.stack([(f(x + step) - f(x - step)) / (2.0 * h) for step in h * np.eye(x.size)], axis=-1)
 
 
+def outcome_fields(entry):
+    """The exit and error fields of a record entry, or of each entry of a list."""
+    if isinstance(entry, list):
+        return [outcome_fields(e) for e in entry]
+    return {key: entry[key] for key in ("exit", "error") if key in entry}
+
+
 def rewrite_record(path, record, indent):
     """Write record to path as sorted JSON; print the labels whose value differs from the file on disk.
 
-    A label only in the new record prints as (new), one only on disk as (gone).
+    A label only in the new record prints as (new), one only on disk as (gone).  A
+    label on both says whether its exit and error fields changed, and how.
     """
     old = {}
     if os.path.exists(path):
@@ -122,7 +130,13 @@ def rewrite_record(path, record, indent):
     moved = sorted(label for label in record.keys() | old.keys() if record.get(label) != old.get(label))
     print(f"{os.path.basename(path)}: {len(moved)} of {len(record)} entries moved")
     for label in moved:
-        note = " (new)" if label not in old else " (gone)" if label not in record else ""
+        if label not in old:
+            note = f" (new): exit/error {outcome_fields(record[label])}"
+        elif label not in record:
+            note = f" (gone): exit/error {outcome_fields(old[label])}"
+        else:
+            before, after = outcome_fields(old[label]), outcome_fields(record[label])
+            note = f": exit/error {before} -> {after}" if before != after else f": exit/error unchanged {after}"
         print(f"  {label}{note}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=indent, sort_keys=True)

@@ -89,8 +89,11 @@ class TestSweep:
         assert report.eventually_decreasing
 
     def test_first_order_instance_refines(self):
+        # rho = 0.72 keeps rho^(2N) above the solver tolerance up to N = 32, so every
+        # stage iterates; with rho below about 0.7 the finest stages start at their
+        # answer and their distances are exactly 0
         report = convergence_sweep(
-            CovarianceSequence([1.0, 0.4]), [4, 8, 16, 32], reference_N=256
+            CovarianceSequence([1.0, 0.72]), [4, 8, 16, 32], reference_N=256
         )
         distances = [s.distance for s in report.stages]
         assert all(d is not None for d in distances)

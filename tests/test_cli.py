@@ -88,7 +88,8 @@ class TestSolve:
         assert "InfeasibleSequenceError" in err and "margin" in err
 
     def test_iteration_budget_exits_two(self, tmp_path, capsys):
-        problem = write_problem(tmp_path, AR1)
+        # at N = 2 the Yule-Walker start is off by rho^4 = 0.01 and needs three steps
+        problem = write_problem(tmp_path, {**AR1, "N": 2})
         code = main(["solve", problem, "--out", str(tmp_path / "o"), "--max-iter", "1"])
         assert code == 2
         assert "MaxIterationsError" in capsys.readouterr().err
@@ -316,13 +317,24 @@ class TestCepstral:
         assert main(["cepstral", problem, "--out", str(tmp_path / "ok")]) == 0
 
     def test_singular_newton_system_exits_three(self, tmp_path, capsys):
+        # white-noise lags seed P and Q constant, where the unregularized Hessian is singular
+        data = {"version": 1, "N": 8, "c": [[1.0, 0.0], [0.0, 0.0]], "m": [[0.1, 0.0]]}
+        problem = write_problem(tmp_path, data)
+        code = main(["cepstral", problem, "--out", str(tmp_path / "o"), "--lambda", "0"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("BoundaryCollapseError: singular Newton system")
+        assert main(["cepstral", problem, "--out", str(tmp_path / "ok")]) == 0
+
+    def test_collapsing_numerator_exits_three(self, tmp_path, capsys):
         data = {"version": 1, "N": 8,
                 "c": [[0.8431523373502422, 0.0], [-0.41767121540659213, -0.17286736390866092]],
                 "m": [[0.14351837371653225, 0.0327550272501523]]}
         problem = write_problem(tmp_path, data)
         code = main(["cepstral", problem, "--out", str(tmp_path / "o"), "--lambda", "0"])
         assert code == 3
-        assert capsys.readouterr().err.startswith("BoundaryCollapseError: singular Newton system")
+        err = capsys.readouterr().err
+        assert err.startswith("BoundaryCollapseError")
+        assert "regularization > 0" in err
         assert main(["cepstral", problem, "--out", str(tmp_path / "ok")]) == 0
 
     def test_lambda_sweep(self, tmp_path, capsys):
@@ -459,7 +471,11 @@ class TestApprox:
         assert "ThresholdNotFound" in capsys.readouterr().err
 
     def test_solver_flags_reach_the_sweep(self, tmp_path, capsys):
-        config = os.path.join(FIXTURES, "approx_config.json")
+        # the reference solve, c_1 = 0.72 at N = 16, is two steps from the Yule-Walker
+        # start; the fixture's c_1 = 0.4 at N = 128 starts at its answer
+        config = str(tmp_path / "config.json")
+        fio.dump_json({"version": 1, "c": [[1.0, 0.0], [0.72, 0.0]], "n_max": 64,
+                       "grid_sizes": [4, 8], "reference_N": 16}, config)
         out = tmp_path / "o"
         assert main(["approx", config, "--out", str(out), "--max-iter", "1"]) == 2
         assert capsys.readouterr().err.startswith("MaxIterationsError")

@@ -31,6 +31,7 @@ from circext import (
     dual_hessian,
     dual_value,
     eval_symbol,
+    feasibility_certificate,
     integrate,
     invert,
     joint_solve,
@@ -44,12 +45,14 @@ from circext.kernels import coeffs_to_real, trig_basis, trig_gram
 from conftest import (
     central_difference,
     make_rng,
+    model_lags,
     random_feasible_covariances,
     random_hermitian_tail,
     random_positive_symbol,
     rewrite_record,
     symbol_distance,
 )
+from test_moments import ordinary_maxent_q, symbol_values
 
 AWKWARD = CovarianceSequence([1.0, 0.0, -0.95])
 
@@ -379,6 +382,78 @@ class TestMaxent:
         assert np.abs(mirrored - q.conj()).max() <= 1e-14 * np.abs(q).max()
         assert np.abs(turned - q * turn).max() <= 1e-14 * np.abs(q).max()
 
+    @pytest.mark.parametrize("alpha", [1e-10, 1e-6, 1.0, 1e6, 1e10])
+    def test_scaled_lags_scale_the_denominator(self, alpha):
+        # c -> alpha c gives Q -> Q / alpha; from a constant start the rows
+        # alpha = 1e-10 and 1e-6 stopped 51% and 2.6e-5 off
+        grid = DiscreteGrid(64)
+        q = maxent_solve(CovarianceSequence(N5), grid).q.coeffs
+        scaled = maxent_solve(CovarianceSequence(np.array(N5) * alpha), grid).q.coeffs
+        assert np.abs(scaled * alpha - q).max() <= 1e-12 * np.abs(q).max()
+
+
+def outcome(solve, *args):
+    """The record entry of a solve (see solve_entry), or the message of a ValueError."""
+    try:
+        return solve_entry(solve, *args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestYuleWalkerStart:
+    """A constant numerator p_0 starts Newton at p_0 q_inf, the N = infinity answer.
+
+    q_inf comes from the lags alone (Yule-Walker), so on a grid whose aliasing
+    is below the tolerance the solve takes no step.  Where q_inf does not exist
+    or is not interior the start is the constant (integral P)/c_0, silently.
+    """
+
+    @pytest.mark.parametrize("p0", [1.0, 2.5])
+    def test_aliasing_below_tolerance_takes_no_step(self, p0):
+        c = CovarianceSequence(N5)
+        q_inf, kappa = ordinary_maxent_q(c.c)
+        report = newton_solve(DualProblem(DiscreteGrid(256), c, constant_symbol(p0)))
+        assert report.iterations == 0 and report.trace == []
+        assert np.abs(report.q.coeffs - p0 * q_inf).max() <= 1e-14 * kappa * p0 * np.abs(q_inf).max()
+
+    def test_feasible_draw_that_stalled_converges(self):
+        # the 170th AR draw of default_rng(101), n = 7, largest pole 0.866: from the
+        # constant start its residual stuck at 1.349e-9 for 100 iterations at N = 139
+        rng = make_rng(101)
+        for _ in range(170):
+            n = int(rng.integers(1, 9))
+            poles = rng.uniform(0.0, 0.9, n) * np.exp(2j * np.pi * rng.random(n))
+        c = model_lags([], poles, n, 2**15)
+        report = maxent_solve(CovarianceSequence(c / c[0].real), DiscreteGrid(139))
+        assert report.residual <= 1e-10
+
+    def constant_start_outcome(self, c, grid):
+        prob = DualProblem(grid, c, constant_symbol(1.0))
+        start = constant_symbol(1.0 / c.c[0].real)
+        return outcome(newton_solve, prob, SolverOptions(initial_q=start))
+
+    def test_singular_toeplitz_matrix_falls_back(self):
+        c, grid = CovarianceSequence([1.0, 1.0]), DiscreteGrid(4)
+        with pytest.raises(np.linalg.LinAlgError):
+            ordinary_maxent_q(c.c)
+        assert outcome(maxent_solve, c, grid) == self.constant_start_outcome(c, grid)
+
+    @pytest.mark.parametrize("lags", [[1.0, 2.0], [1.0, 1.0, 0.0], [1.0, np.nan]])
+    def test_no_positive_x0_falls_back(self, lags):
+        # x_0 = (T_n^-1)_00 is -1/3, 0 (T_1 is singular) and NaN; x_0 = 0 must not warn
+        c, grid = CovarianceSequence(np.eye(len(lags))[0]), DiscreteGrid(4)
+        c.c = np.array(lags, dtype=complex)    # NaN gets past the constructor check
+        T = [[lags[abs(k - l)] for l in range(len(lags))] for k in range(len(lags))]
+        assert not np.linalg.inv(T)[0, 0] > 0.0
+        assert outcome(maxent_solve, c, grid) == self.constant_start_outcome(c, grid)
+
+    def test_start_off_the_interior_falls_back(self):
+        # |1 - r z|^2 / (1 - r^2) is 5e-13 at the node z = 1
+        c, grid = CovarianceSequence([1.0, 1.0 - 1e-12]), DiscreteGrid(4)
+        q_inf, _ = ordinary_maxent_q(c.c)
+        assert symbol_values(q_inf, grid.N).min() <= 1e-12
+        assert outcome(maxent_solve, c, grid) == self.constant_start_outcome(c, grid)
+
 
 class TestBoundaryNumerator:
     def test_isolated_zero_is_allowed(self):
@@ -424,6 +499,20 @@ class TestFailureModes:
         assert err.min_sample > 0.0
         assert "feasibility_certificate" in str(err)
 
+    @pytest.mark.parametrize("N", [3, 5])
+    def test_infeasible_lags_are_refused_whatever_their_last_bit(self, N):
+        # feasible lags give <C,Q> = integral Phi Q dnu > 0 at every grid-positive Q, so a
+        # trial point with <C,Q> <= 0 proves infeasibility; at N = 3 two of these nine
+        # last bits once ran out the iteration budget instead
+        grid, eps = DiscreteGrid(N), np.finfo(float).eps
+        assert not feasibility_certificate(AWKWARD, grid).feasible
+        for j in range(-4, 5):
+            c = CovarianceSequence([1.0, 0.0, -0.95 * (1.0 + j * eps)])
+            with pytest.raises(BoundaryCollapseError, match="<C,Q> <= 0 at a grid-positive Q") as info:
+                maxent_solve(c, grid)
+            assert info.value.min_sample > 0.0
+            assert "feasibility_certificate" in str(info.value)
+
     def test_non_finite_lags_are_refused(self):
         # NaN lags once ended in BoundaryCollapseError, blaming infeasibility
         with pytest.raises(ValueError, match="must be finite"):
@@ -434,7 +523,8 @@ class TestFailureModes:
             maxent_solve(c, DiscreteGrid(8))
 
     def test_iteration_budget(self):
-        grid = DiscreteGrid(8)
+        # at N = 2 the Yule-Walker start is off by rho^4 = 0.01 and needs three steps
+        grid = DiscreteGrid(2)
         c = CovarianceSequence([1.0, 0.3 + 0.1j])
         with pytest.raises(MaxIterationsError):
             maxent_solve(c, grid, SolverOptions(max_iter=1))
@@ -575,8 +665,8 @@ def newton_runs():
     )
     for N in (3, 5):
         runs[f"collapse N={N}"] = (maxent_solve, (AWKWARD, DiscreteGrid(N)))
-    runs["budget max_iter=1 N=8"] = (
-        maxent_solve, (CovarianceSequence([1.0, 0.3 + 0.1j]), DiscreteGrid(8), SolverOptions(max_iter=1))
+    runs["budget max_iter=1 N=2"] = (
+        maxent_solve, (CovarianceSequence([1.0, 0.3 + 0.1j]), DiscreteGrid(2), SolverOptions(max_iter=1))
     )
     return runs
 
