@@ -12,12 +12,12 @@ explicit nonnegative correction epsilon_k for lambda > 0.  The lambda term
 repels P from the boundary, trading cepstral accuracy for robustness.
 
 Optimization runs over the 4n+1 free real parameters (all of Q, P minus its
-pinned constant) with the dual module's damped Newton driver.  P starts at
-one and Q at the maximum-entropy denominator for c, from newton_solve's
-iteration on the same trig basis; this keeps the initial Hessian away from
-the rank deficiency that the flat start (P and Q both constant) exhibits at
-lambda = 0.  Each iteration transforms all the weights that its gradient and
-Hessian need in one batched FFT.  joint_value and joint_gradient evaluate the
+pinned constant) with the dual module's damped Newton driver.  P starts at one
+and Q at the maximum-entropy denominator for c, from newton_solve's iteration on
+the same cached trig basis; this keeps the initial Hessian away from the rank
+deficiency that the flat start (P and Q both constant) exhibits at lambda = 0.
+Each iteration transforms all the weights that its gradient and Hessian need in
+one batched real-input FFT.  joint_value and joint_gradient evaluate the
 functions the solver runs; joint_hessian gives the complex k, l >= 0 Toeplitz
 blocks, whose real form over lags <= 2n the solver factors, both from one
 Toeplitz builder.  `lambda_path` is the one loop over weights, each warm-started.
@@ -43,13 +43,7 @@ from .dual import (
 )
 from .grid import DiscreteGrid, SpectrumSamples
 from .kernels import (
-    coeffs_to_real,
-    hermitian_toeplitz,
-    moment_vector,
-    pairing,
-    real_to_coeffs,
-    trig_basis,
-    trig_gram,
+    coeffs_to_real, grid_basis, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs, trig_gram,
 )
 from .moments import CepstralSequence, CovarianceSequence, cepstral_moments
 
@@ -212,7 +206,7 @@ def joint_solve(
     grid, n = prob.grid, prob.n
     lam = prob.regularization
     size = 2 * n + 1
-    B = trig_basis(grid.angles, n)
+    B = grid_basis(grid.size, n)
     scale = max(1.0, prob.c.sup_norm(), float(np.max(np.abs(prob.m.m), initial=0.0)))
 
     if initial is not None:

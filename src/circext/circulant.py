@@ -20,6 +20,9 @@ from .grid import (
     SpectrumSamples,
     _as_complex_values,
     _is_real,
+    _transform,
+    dft,
+    idft,
     refuse_nodes,
 )
 from .kernels import moment_vector
@@ -142,8 +145,6 @@ class Circulant:
 
     def apply(self, signal: Signal) -> Signal:
         """Matrix-vector product via pointwise action in the transform domain."""
-        from .grid import dft, idft
-
         if signal.grid != self.grid:
             raise GridMismatchError("signal grid differs from operator grid")
         hat = dft(signal).values * self.sample_values
@@ -236,10 +237,7 @@ def invert(a) -> Circulant:
 def banded_check(m, n: int) -> bool:
     """True when symbol coefficients with |k| > n vanish to 1e-10 relative."""
     grid, v = _samples_of(m)
-    # full coefficient window k = -N+1 ... N, lag k stored at k mod 2N
-    coeffs = moment_vector(grid.angles, v, grid.size - 1)[grid.indices % grid.size]
+    coeffs = _transform(v, inverse=True)    # the window k = -N+1 ... N
     scale = max(float(np.max(np.abs(coeffs))), 1e-300)
     tail = coeffs[np.abs(grid.indices) > n]
-    if tail.size == 0:
-        return True
-    return float(np.max(np.abs(tail))) <= BANDED_TOL * scale
+    return float(np.max(np.abs(tail), initial=0.0)) <= BANDED_TOL * scale

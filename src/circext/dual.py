@@ -10,12 +10,12 @@ interior minimizer matches the lags of P/Q to c exactly.  The damped Newton
 driver `_damped_newton`, which cepstral.joint_solve shares, runs over the 2n+1
 real parameters (q_0, Re q_k, Im q_k): each step solves the Newton system and
 backtracks until the iterate is interior and the objective has decreased, or,
-below the objective's rounding, until a full step lowers the residual.  A
-constant numerator starts at the N = infinity answer (Yule-Walker), off only
-by aliasing.  A solve builds its trig basis once.  Each iteration pays for one
-FFT of P/Q and P/Q^2, O(N log N), and an eigvalsh and a solve of the Hessian
-built from those moments, O(n^3); each trial step, for the samples w @ basis
-and one objective.
+below the objective's rounding, until a full step lowers the residual.  Q
+starts at lags 0 ... n of P times the N = infinity maximum-entropy denominator
+(Yule-Walker), for a constant P the answer up to aliasing.  The trig basis is
+built once per (2N, n).  Each iteration pays for one real-input FFT of P/Q and
+P/Q^2, O(N log N), and an eigvalsh and a solve of the Hessian built from those
+moments, O(n^3); each trial step, for the samples w @ basis and one objective.
 """
 
 from __future__ import annotations
@@ -29,13 +29,7 @@ import numpy as np
 from .circulant import SymmetricPseudoPolynomial, eval_symbol
 from .grid import DiscreteGrid, SpectrumSamples, refuse_nodes, require_positive
 from .kernels import (
-    coeffs_to_real,
-    hermitian_toeplitz,
-    moment_vector,
-    pairing,
-    real_to_coeffs,
-    trig_basis,
-    trig_gram,
+    coeffs_to_real, grid_basis, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs, trig_gram,
 )
 from .moments import CovarianceSequence
 
@@ -257,13 +251,13 @@ def _residual(blocks) -> float:
 def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> SolutionReport:
     """Minimize the dual objective; returns the matched denominator and spectrum.
 
-    Without opts.initial_q, a constant P = p_0 starts from p_0 times the Yule-Walker
-    denominator where that is interior, else from Q = (integral P dnu)/c_0.  Raises
+    Without opts.initial_q, Q starts at lags 0 ... n of P times the Yule-Walker
+    denominator where that is interior, else at (integral P dnu)/c_0.  Raises
     BoundaryCollapseError when backtracking cannot leave the positivity floor or
     <C,Q> <= 0 at a grid-positive Q, and MaxIterationsError when the budget runs out.
     """
     grid = prob.grid
-    B = trig_basis(grid.angles, prob.n)
+    B = grid_basis(grid.size, prob.n)
     v, qv, (gc,), _, iterations, trace = _newton(prob, opts or SolverOptions(), B)
     ratio = prob.p_samples.values.real / qv
     return SolutionReport(
@@ -290,8 +284,7 @@ def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
         coeffs[: q0.degree + 1] = q0.coeffs
     else:
         coeffs[0] = float(np.mean(pv)) / prob.c.c[0].real
-        if not np.any(prob.p.coeffs[1:]) and (q := _yule_walker_q(prob.c.c)) is not None:
-            q *= prob.p.coeffs[0].real
+        if (q := _yule_walker_start(prob.c.c, prob.p.coeffs)) is not None:
             if (coeffs_to_real(q) @ B).min() > BOUNDARY_FLOOR:
                 coeffs = q
     return _damped_newton(
@@ -309,11 +302,12 @@ def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
     )
 
 
-def _yule_walker_q(c: np.ndarray) -> np.ndarray | None:
-    """q_0 ... q_n of the N = infinity maximum-entropy denominator |a|^2 / sigma^2, or None.
+def _yule_walker_start(c: np.ndarray, p: np.ndarray) -> np.ndarray | None:
+    """Lags 0 ... n of P q_inf, q_inf the N = infinity maximum-entropy denominator; or None.
 
-    x solves T_n x = e_0 (T[k, l] = c_{k-l}); a = x / x_0, sigma^2 = 1 / x_0 and q is the
-    autocorrelation of w = a / sigma.  None when T_n is singular or x_0 > 0 fails (NaN too).
+    x solves T_n x = e_0 (T[k, l] = c_{k-l}); a = x / x_0, sigma^2 = 1 / x_0 and q_inf =
+    |a|^2 / sigma^2 is the autocorrelation of w = a / sigma, lags -n ... n.  For P = p_0 the
+    result is p_0 q_inf.  None when T_n is singular or x_0 > 0 fails (NaN too).
     """
     try:
         x = np.linalg.solve(hermitian_toeplitz(c), np.eye(c.size)[0])
@@ -322,7 +316,8 @@ def _yule_walker_q(c: np.ndarray) -> np.ndarray | None:
     if not x[0].real > 0.0:
         return None
     w = x / np.sqrt(x[0].real)
-    return np.correlate(w, w, "full")[c.size - 1 :]
+    product = np.convolve(np.concatenate((p[:0:-1].conj(), p)), np.correlate(w, w, "full"))
+    return product[p.size + c.size - 2 : p.size + 2 * c.size - 2]
 
 
 def complete_covariances(report) -> np.ndarray:

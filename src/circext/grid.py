@@ -13,8 +13,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .kernels import moment_vector
-
 SYMMETRY_TOL = 1e-12     # relative tolerance of every realness test; evenness's default
 
 
@@ -198,8 +196,8 @@ def integrate(spectrum: SpectrumSamples, k: int) -> complex:
     grid = spectrum.grid
     if not -grid.N <= k <= grid.N:
         raise ValueError(f"k={k} outside [-N, N] = [{-grid.N}, {grid.N}]")
-    # lag k is lag k mod 2N on the grid, so negative k reads a nonnegative lag
-    return complex(moment_vector(grid.angles, spectrum.values, k % grid.size)[-1])
+    # lag -N is lag N on the grid, at the last window position
+    return complex(_transform(spectrum.values, inverse=True)[(k + grid.N - 1) % grid.size])
 
 
 def plancherel_inner(f: Signal, g: Signal) -> complex:

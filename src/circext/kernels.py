@@ -1,10 +1,11 @@
 """Shared numerical helpers for symbol evaluation and moment extraction.
 
 Everything here works on raw arrays; the typed wrappers live in the module
-that owns the corresponding contract.  Moments cost one inverse FFT per weight,
-O(N log N) on a 2N-point grid, then one gather and one product with lag tables
-built once per (2N, kmax).  hermitian_toeplitz is the one Toeplitz builder: the
-real Gram matrices the Newton solvers factor are its matrices over lags <= 2n in
+that owns the corresponding contract.  Moments of real weights cost one
+real-input FFT per weight, O(N log N) on a 2N-point grid, then one gather and
+one product with lag tables built once per (2N, kmax), as the trig basis is
+once per (2N, n).  hermitian_toeplitz is the one Toeplitz builder: the real
+Gram matrices the Newton solvers factor are its matrices over lags <= 2n in
 real coordinates, one O(n^3) product with a map derived from it once per degree.
 """
 
@@ -26,34 +27,52 @@ def trig_basis(angles: np.ndarray, n: int) -> np.ndarray:
     return np.vstack((np.ones_like(angles), 2.0 * np.cos(phases), 2.0 * np.sin(phases)))
 
 
+@functools.lru_cache(maxsize=32)
+def grid_basis(size: int, n: int) -> np.ndarray:
+    """Read-only trig_basis of degree n at the angles of the size-point grid.
+
+    A basis takes 8 (2n+1) size bytes, so the 32 kept hold at most 36 MB for n <= 8
+    and N <= 4096; the 17 of one `extend` benchmark cycle (n <= 5) hold 0.93 MB.
+    """
+    half = size // 2
+    basis = trig_basis(np.pi * np.arange(1 - half, half + 1) / half, n)
+    basis.setflags(write=False)
+    return basis
+
+
 def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarray:
-    """Coefficients (1/2N) sum_j e^{ik theta_j} v_j for k = 0 ... kmax.
+    """Coefficients (1/2N) sum_j e^{ik theta_j} v_j of real values v, k = 0 ... kmax.
 
     angles are the 2N grid angles theta_j = pi*j/N in storage order
-    (j = -N+1 ... N).  values may have shape (..., 2N): every row along the
-    last axis is transformed, by a single inverse FFT costing O(N log N) per
-    row, and the result has shape (..., kmax+1).  Lags are taken modulo 2N,
-    so every kmax >= 0 is exact.
+    (j = -N+1 ... N).  values may have shape (..., 2N): every real row along
+    the last axis is transformed, by a single real-input FFT costing O(N log N)
+    per row, and the result has shape (..., kmax+1).  Lags are taken modulo 2N,
+    so every kmax >= 0 is exact.  Complex rows take grid._transform instead.
     """
     size = np.size(angles)
     values = np.asarray(values)
     if values.shape[-1] != size:
         raise ValueError(f"expected {size} values per row, got shape {values.shape}")
-    positions, shift = _lag_table(size, kmax)
-    return np.fft.ifft(values, axis=-1)[..., positions] * shift
+    positions, shift, signs = _lag_table(size, kmax)
+    out = np.fft.rfft(values, axis=-1, norm="forward")[..., positions]
+    out.imag *= signs
+    return out * shift
 
 
 @functools.lru_cache(maxsize=32)
-def _lag_table(size: int, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only FFT positions k mod 2N of the lags k = 0 ... kmax, and their phases.
+def _lag_table(size: int, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only rfft positions of the lags k = 0 ... kmax, their phases and imaginary signs.
 
-    Storage position m holds j = m - N + 1, so lag k picks up e^{-i pi k (N-1)/N},
-    its integer exponent reduced mod 2N before it meets floating point.  Tables take
-    24 (kmax+1) bytes with kmax < 2N, so the 32 kept hold at most 6.3 MB at N = 4096.
+    The conjugated rfft of a real row holds lags 0 ... N (sign -1); lag r = k mod 2N
+    above N is the conjugate of lag 2N - r, the rfft as it is (sign +1).  Storage
+    position m holds j = m - N + 1, so lag k picks up e^{-i pi k (N-1)/N}, its integer
+    exponent reduced mod 2N before it meets floating point.  Tables take 32 (kmax+1)
+    bytes with kmax < 2N, so the 32 kept hold at most 8.4 MB at N = 4096.
     """
-    half = size // 2
-    lags = np.arange(kmax + 1)
-    table = lags % size, np.exp(lags * (half - 1) % size * (-1j * np.pi / half))
+    half, lags = size // 2, np.arange(kmax + 1)
+    wrapped = lags % size
+    shift = np.exp(lags * (half - 1) % size * (-1j * np.pi / half))
+    table = np.minimum(wrapped, size - wrapped), shift, np.where(wrapped > half, 1.0, -1.0)
     for part in table:
         part.setflags(write=False)
     return table

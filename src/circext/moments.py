@@ -15,7 +15,7 @@ import numpy as np
 from .circulant import SymmetricPseudoPolynomial, _hermitian_coefficients
 from .grid import DiscreteGrid, SpectrumSamples, require_positive
 from .kernels import (
-    coeffs_to_real, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs, trig_basis,
+    coeffs_to_real, grid_basis, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs,
 )
 from .simplex import _simplex
 
@@ -143,7 +143,7 @@ def feasibility_certificate(c: CovarianceSequence, grid: DiscreteGrid) -> Feasib
         raise ValueError(f"need n < N, got n={n}, N={grid.N}")
     if not np.isfinite(c.c).all():
         raise ValueError(f"the lags must be finite, got {c.c!r}")
-    rows = 0.5 * trig_basis(grid.angles, n)[1:]
+    rows = 0.5 * grid_basis(grid.size, n)[1:]
     u, value, y, pivots = _simplex(-np.ones(grid.size), rows, coeffs_to_real(c.c)[1:])
     margin = float(c.c[0].real + value)
     nodes = margin + grid.size * u

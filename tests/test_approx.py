@@ -20,6 +20,8 @@ from circext import approx
 from circext import fileio as fio
 from circext.cli import main
 
+from test_moments import ordinary_maxent_q
+
 AWKWARD = CovarianceSequence([1.0, 0.0, -0.95])
 
 
@@ -146,6 +148,18 @@ class TestSweep:
         distances = [s.distance for s in report.stages]
         assert report.eventually_decreasing
         assert distances[-1] < distances[0]
+
+
+class TestReferenceOracle:
+    def test_criterion_6_reference_is_the_yule_walker_solution(self):
+        # c = (1, 0.4) is the AR(1) model |1 - 0.4 z|^{-2} / 0.84, whose aliasing
+        # 0.4^{2(N-1)} underflows at N = 4096: the reference solve is the N = infinity
+        # denominator q_inf = (1.16, -0.4) / 0.84 to rounding
+        c = CovarianceSequence([1.0, 0.4])
+        reference = convergence_sweep(c, [8], reference_N=4096).reference_q.coeffs
+        q_inf, kappa = ordinary_maxent_q(c.c)
+        np.testing.assert_allclose(q_inf, np.array([1.16, -0.4]) / 0.84, rtol=0, atol=1e-15)
+        assert np.abs(reference - q_inf).max() <= 4.0 * np.finfo(float).eps * kappa * np.abs(q_inf).max()
 
 
 class TestFailedStage:
