@@ -13,14 +13,13 @@ repels P from the boundary, trading cepstral accuracy for robustness.
 
 Optimization runs over the 4n+1 free real parameters (all of Q, P minus its
 pinned constant) with the dual module's damped Newton driver.  P starts at one
-and Q at the maximum-entropy denominator for c, from newton_solve's iteration on
-the same cached trig basis; this keeps the initial Hessian away from the rank
-deficiency that the flat start (P and Q both constant) exhibits at lambda = 0.
-Each iteration transforms all the weights that its gradient and Hessian need in
-one batched real-input FFT.  joint_value and joint_gradient evaluate the
-functions the solver runs; joint_hessian gives the complex k, l >= 0 Toeplitz
-blocks, whose real form over lags <= 2n the solver factors, both from one
-Toeplitz builder.  `lambda_path` is the one loop over weights, each warm-started.
+and Q at maxent_solve's answer for c, which keeps the initial Hessian away from
+the rank deficiency that the flat start (P and Q both constant) exhibits at
+lambda = 0.  Each iteration transforms all the weights that its gradient and
+Hessian need in one batched real-input FFT.  joint_value and joint_gradient
+evaluate the functions the solver runs; joint_hessian gives the complex Toeplitz
+blocks (k, l >= 0), whose real form over lags <= 2n the solver factors, both
+from one Toeplitz builder.  `lambda_path` loops over weights, each warm-started.
 """
 
 from __future__ import annotations
@@ -30,16 +29,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .circulant import SymmetricPseudoPolynomial, constant_symbol
+from .circulant import SymmetricPseudoPolynomial
 from .dual import (
-    DualProblem,
     IterationRecord,
     MaxIterationsError,
     SolverOptions,
     _collapse,
     _damped_newton,
-    _newton,
     _symbol_samples,
+    maxent_solve,
 )
 from .grid import DiscreteGrid, SpectrumSamples
 from .kernels import (
@@ -215,8 +213,8 @@ def joint_solve(
     else:
         # P = 1 flat, Q from plain covariance matching: a strictly interior
         # pair whose Hessian is nonsingular even without regularization
-        seed = DualProblem(grid, prob.c, constant_symbol(1.0))
-        u = np.concatenate([_newton(seed, SolverOptions(grad_tol=1e-8), B)[0], np.zeros(2 * n)])
+        q = maxent_solve(prob.c, grid, SolverOptions(grad_tol=1e-8)).q
+        u = np.concatenate([coeffs_to_real(q.coeffs), np.zeros(2 * n)])
 
     hint = "" if lam else (
         "; the unregularized problem may need a spectral zero, "

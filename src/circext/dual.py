@@ -12,21 +12,22 @@ real parameters (q_0, Re q_k, Im q_k): each step solves the Newton system and
 backtracks until the iterate is interior and the objective has decreased, or,
 below the objective's rounding, until a full step lowers the residual.  Q
 starts at lags 0 ... n of P times the N = infinity maximum-entropy denominator
-(Yule-Walker), for a constant P the answer up to aliasing.  The trig basis is
-built once per (2N, n).  Each iteration pays for one real-input FFT of P/Q and
-P/Q^2, O(N log N), and an eigvalsh and a solve of the Hessian built from those
-moments, O(n^3); each trial step, for the samples w @ basis and one objective.
+(Yule-Walker), for a constant P the answer up to aliasing.  Symbols, P once and
+Q at every point, are sampled through the trig basis built once per (2N, degree).
+Each iteration pays for one real-input FFT of P/Q and P/Q^2, O(N log N), and an
+eigvalsh and a solve of the Hessian built from those moments, O(n^3); each trial
+step, for the samples w @ basis and one objective.
 """
 
 from __future__ import annotations
 
 import functools
-import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import SymmetricPseudoPolynomial, eval_symbol
+from .circulant import SymmetricPseudoPolynomial
 from .grid import DiscreteGrid, SpectrumSamples, refuse_nodes, require_positive
 from .kernels import (
     coeffs_to_real, grid_basis, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs, trig_gram,
@@ -73,7 +74,7 @@ class SolverOptions:
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
-        if not 0 < self.grad_tol < math.inf or self.max_iter <= 0:
+        if not 0 < self.grad_tol <= sys.float_info.max or self.max_iter <= 0:
             raise ValueError("tolerances must be positive and finite, the iteration budget positive")
 
 
@@ -94,8 +95,8 @@ class DualProblem:
         for name, degree in (("c", self.c.n), ("p", self.p.degree)):
             if degree > self.grid.N - 1:
                 raise ValueError(f"need deg {name} <= N-1, got {degree} on N={self.grid.N}")
-        self.p_samples = eval_symbol(self.p, self.grid)
-        vals = self.p_samples.real_values()
+        vals = coeffs_to_real(self.p.coeffs) @ grid_basis(self.grid.size, self.p.degree)
+        self.p_samples = SpectrumSamples(self.grid, vals)
         scale = max(1.0, float(np.max(np.abs(vals))))
         refuse_nodes(self.grid, vals, vals < -NONNEG_TOL * scale, "numerator is negative")
         if vals.max() <= 0.0:
@@ -132,7 +133,8 @@ def _symbol_samples(prob, q: SymmetricPseudoPolynomial, name: str = "denominator
     """Positive node samples of a symbol of the problem degree."""
     if q.degree != prob.n:
         raise ValueError(f"{name} degree {q.degree} differs from the problem degree {prob.n}")
-    return require_positive(prob.grid, eval_symbol(q, prob.grid).real_values(), name)
+    values = coeffs_to_real(q.coeffs) @ grid_basis(prob.grid.size, prob.n)
+    return require_positive(prob.grid, values, name)
 
 
 def _dual_objective(prob: DualProblem, v: np.ndarray, qv: np.ndarray) -> float:
@@ -243,7 +245,7 @@ def _collapse(what, iteration, residual, s, hint) -> BoundaryCollapseError:
 def _residual(blocks) -> float:
     """Largest gradient component; a non-finite one, which max() could drop, raises."""
     norms = [float(np.abs(g).max()) for g in blocks]
-    if not all(map(math.isfinite, norms)):
+    if not np.isfinite(norms).all():
         raise ValueError(f"non-finite gradient residual: block norms {norms}")
     return max(norms)
 
@@ -256,29 +258,11 @@ def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> Soluti
     BoundaryCollapseError when backtracking cannot leave the positivity floor or
     <C,Q> <= 0 at a grid-positive Q, and MaxIterationsError when the budget runs out.
     """
-    grid = prob.grid
-    B = grid_basis(grid.size, prob.n)
-    v, qv, (gc,), _, iterations, trace = _newton(prob, opts or SolverOptions(), B)
-    ratio = prob.p_samples.values.real / qv
-    return SolutionReport(
-        q=SymmetricPseudoPolynomial(real_to_coeffs(v)),
-        p=prob.p,
-        phi=SpectrumSamples(grid, ratio),
-        extended_c=moment_vector(grid.angles, ratio, grid.N),
-        iterations=iterations,
-        residual=float(np.abs(gc).max()),
-        trace=trace,
-        grid=grid,
-        c=prob.c,
-    )
-
-
-def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
-    """newton_solve's iteration on the problem's trig basis B, as `_damped_newton` returns it."""
-    n, pv = prob.n, prob.p_samples.values.real
+    opts = opts or SolverOptions()
+    grid, n, pv = prob.grid, prob.n, prob.p_samples.values.real
+    B = grid_basis(grid.size, n)
     coeffs = np.zeros(n + 1, dtype=complex)
-    if opts.initial_q is not None:
-        q0 = opts.initial_q
+    if (q0 := opts.initial_q) is not None:
         if q0.degree > n:
             raise ValueError(f"initial_q degree {q0.degree} exceeds lag count {n}")
         coeffs[: q0.degree + 1] = q0.coeffs
@@ -287,7 +271,7 @@ def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
         if (q := _yule_walker_start(prob.c.c, prob.p.coeffs)) is not None:
             if (coeffs_to_real(q) @ B).min() > BOUNDARY_FLOOR:
                 coeffs = q
-    return _damped_newton(
+    v, qv, (gc,), _, iterations, trace = _damped_newton(
         coeffs_to_real(coeffs),
         lambda w: w @ B,
         functools.partial(_dual_objective, prob),
@@ -299,6 +283,18 @@ def _newton(prob: DualProblem, opts: SolverOptions, B: np.ndarray):
         "(feasibility_certificate gives the exact answer)",
         # feasible lags give <C,Q> = integral Phi Q dnu > 0 at every grid-positive Q
         lambda w: pairing(prob.c.c, real_to_coeffs(w)) <= 0.0,
+    )
+    ratio = pv / qv
+    return SolutionReport(
+        q=SymmetricPseudoPolynomial(real_to_coeffs(v)),
+        p=prob.p,
+        phi=SpectrumSamples(grid, ratio),
+        extended_c=moment_vector(grid.angles, ratio, grid.N),
+        iterations=iterations,
+        residual=float(np.abs(gc).max()),
+        trace=trace,
+        grid=grid,
+        c=prob.c,
     )
 
 

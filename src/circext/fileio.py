@@ -223,7 +223,7 @@ def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
             continue
         if not _is_number(value):
             raise InputFormatError(f'{source}: option "{key}" must be a number')
-        opts_kwargs[key] = int(value) if key == "max_iter" else float(value)
+        opts_kwargs[key] = value
     options = _checked(source, lambda: SolverOptions(**opts_kwargs))
 
     regularization = None

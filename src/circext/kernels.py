@@ -32,7 +32,7 @@ def grid_basis(size: int, n: int) -> np.ndarray:
     """Read-only trig_basis of degree n at the angles of the size-point grid.
 
     A basis takes 8 (2n+1) size bytes, so the 32 kept hold at most 36 MB for n <= 8
-    and N <= 4096; the 17 of one `extend` benchmark cycle (n <= 5) hold 0.93 MB.
+    and N <= 4096; the 22 of one `extend` benchmark cycle (n <= 5) hold 1.03 MB.
     """
     half = size // 2
     basis = trig_basis(np.pi * np.arange(1 - half, half + 1) / half, n)

@@ -31,7 +31,7 @@ from circext import cepstral
 from circext.cepstral import _joint_derivatives, _joint_objective, _params, _real_hessian
 from circext.dual import _real_gradient
 from circext.fileio import load_problem
-from circext.kernels import trig_basis
+from circext.kernels import coeffs_to_real, trig_basis
 
 from conftest import central_difference, make_rng, random_positive_symbol, symbol_distance
 
@@ -348,6 +348,19 @@ class TestUniqueness:
         for earlier, later in zip(values, values[1:]):
             assert later <= earlier + 1e-12 * (1.0 + abs(earlier))
         assert all(rec.hessian_min_eig > 0.0 for rec in report.trace)
+
+
+class TestColdStart:
+    def test_cold_start_is_the_maxent_answer(self, monkeypatch):
+        # P = 1 and Q = maxent_solve's q at grad_tol 1e-8: the start handed to the driver
+        starts, damped = [], cepstral._damped_newton
+        monkeypatch.setattr(cepstral, "_damped_newton", lambda u, *args: starts.append(u) or damped(u, *args))
+        for seed, N, n in ((523, 8, 2), (541, 64, 3), (547, 1024, 5)):
+            grid, _, _, _, c, m = consistent_instance(seed, N, n)
+            joint_solve(JointProblem(grid, c, m))
+            q = maxent_solve(c, grid, SolverOptions(grad_tol=1e-8)).q
+            expected = np.concatenate((coeffs_to_real(q.coeffs), np.zeros(2 * n)))
+            assert starts[-1].tobytes() == expected.tobytes(), (seed, N, n)
 
 
 class TestBoundary:

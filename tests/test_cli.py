@@ -115,6 +115,14 @@ class TestSolve:
         assert "non-finite number 1e400" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fractional_budget_exits_one(self, tmp_path, capsys):
+        # the budget once ran truncated to 2 and exited 0
+        problem = write_problem(tmp_path, dict(AR1, options={"max_iter": 2.5}))
+        out = tmp_path / "o"
+        assert main(["maxent", problem, "--out", str(out)]) == 1
+        assert "max_iter must be an integer, got 2.5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_numerator_modulus_exits_one(self, tmp_path, capsys):
         # each part is finite, but |1.7e308 + 1.7e308i| is not
         problem = write_problem(tmp_path, dict(AR1, p=[1.0, 1.7e308, 1.7e308]))

@@ -272,6 +272,19 @@ class TestDerivatives:
                 scale = max(1.0, float(np.max(np.abs(H))))
                 np.testing.assert_allclose(H[:, l], column, atol=1e-5 * scale)
 
+    def test_public_functions_repeat_the_solver_at_its_answer(self):
+        # both sample Q through the cached trig basis, so at a returned q the public
+        # value and gradient are the last objective and residual, bit for bit
+        rng = make_rng(359)
+        for draw in range(40):
+            n, grid = 1 + draw % 5, DiscreteGrid((8, 16, 64, 256)[draw % 4])
+            c, p = random_feasible_covariances(rng, n, grid), random_positive_symbol(rng, n, grid)
+            prob = DualProblem(grid, c, p)
+            report = newton_solve(prob)
+            assert report.trace, draw
+            assert dual_value(prob, report.q) == report.trace[-1].objective, draw
+            assert float(np.abs(dual_gradient(prob, report.q)).max()) == report.residual, draw
+
     @pytest.mark.parametrize("n, N", [(1, 8), (3, 64), (5, 256)])
     def test_solver_triple_matches_central_differences(self, n, N):
         # the objective, real gradient and real Hessian newton_solve itself runs

@@ -203,6 +203,19 @@ class TestProblemParsing:
         assert any("verbose" in w for w in spec.warnings)
         assert spec.options.max_iter == 100
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("max_iter", 2.5, "max_iter must be an integer"),
+        ("max_iter", 3.0, "max_iter must be an integer"),
+        ("grad_tol", 10**400, "positive and finite"),
+    ], ids=["fractional_budget", "integral_float_budget", "tolerance_beyond_the_floats"])
+    def test_option_values_meet_the_solver_options_rule_uncast(self, option, value, message):
+        # the parser once truncated a fractional budget and raised OverflowError on a
+        # tolerance beyond the floats; SolverOptions' own rule refuses both
+        data = self.base()
+        data["options"] = {option: value}
+        with pytest.raises(fio.InputFormatError, match=message):
+            fio.problem_from_dict(data)
+
     def test_invalid_sequence_values_rejected(self):
         data = self.base()
         data["c"] = [[0.0, 0.0], [0.3, 0.1]]

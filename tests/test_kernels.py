@@ -173,11 +173,13 @@ class TestGridBasis:
 
     def test_one_extend_cycle_stays_cached(self):
         # the (2N, n) keys of the extend benchmark: its slots at N = 64, 256, 512 and
-        # 1024 and the closing maxent at N = 4096
+        # 1024 and the closing maxent at N = 4096, each with the (2N, 0) key that
+        # samples a constant numerator
         keys = [(128, n) for n in range(1, 6)] + [(512, n) for n in range(1, 6)]
         keys += [(1024, 4), (1024, 5)] + [(2048, n) for n in range(1, 5)] + [(8192, 1)]
+        keys += [(size, 0) for size in (128, 512, 1024, 2048, 8192)]
         bases = [grid_basis(*key) for key in keys]
-        assert len(set(keys)) == 17 and sum(B.nbytes for B in bases) == 932864
+        assert len(set(keys)) == 22 and sum(B.nbytes for B in bases) == 1028096
         assert all(grid_basis(*key) is B for key, B in zip(keys, bases))
 
 

@@ -596,6 +596,25 @@ class TestPolygonOracle:
         assert bisected_down >= 20
 
 
+class TestThresholdContract:
+    """find_threshold's contract for degrees above one, against the equality-form LP.
+
+    The lags are the certify benchmark's spectral lines: n = 2 ... 5, 1-10% white
+    noise, n_max = 512.  HiGHS, which shares no code with the simplex, finds the
+    returned N feasible and N - 1 infeasible unless N = n + 1.  No margin of these
+    draws lies within 1e-4 of zero, so the 1e-9 allowance decides no verdict.
+    """
+
+    def test_returned_grid_is_feasible_and_the_one_below_is_not(self):
+        rng = make_rng(11)
+        for draw in range(40):
+            n = 2 + draw % 4
+            c = line_lags(rng, n)
+            N = find_threshold(CovarianceSequence(c), n_max=512)
+            assert equality_form_margin(c, N) > -1e-9, (c, N)
+            assert N == n + 1 or equality_form_margin(c, N - 1) < 1e-9, (c, N)
+
+
 class TestOrdinaryMaxentOracle:
     """maxent_solve tends to the N = infinity solution at the aliasing rate.
 
