@@ -60,15 +60,11 @@ EXIT_COLLAPSE = 3
 OUT_DIR_ENV = "CIRCEXT_OUT_DIR"
 
 
-def _out_dir(args) -> str:
+def _out_path(args, name: str = "") -> str:
+    """Path of an output file, or without a name of the directory, which the first call makes."""
     out = args.out or os.environ.get(OUT_DIR_ENV) or "."
     os.makedirs(out, exist_ok=True)
-    return out
-
-
-def _out_path(args, name: str) -> str:
-    """Path of an output file; the directory is made on the first write."""
-    return os.path.join(_out_dir(args), name)
+    return os.path.join(out, name)
 
 
 def _warn(lines):
@@ -225,7 +221,7 @@ def run_simulate(args) -> int:
         phi, args.count, seed=args.seed, real_valued=args.real
     )
     names = fileio.write_ensemble(
-        _out_dir(args), realizations, grid, args.seed, fileio.sha256_file(args.model), args.real
+        _out_path(args), realizations, grid, args.seed, fileio.sha256_file(args.model), args.real
     )
     print(f"wrote {len(names)} realizations of length {grid.size}")
     _finish(args, args.model, names + ["manifest.json"])
@@ -241,9 +237,7 @@ def run_estimate(args) -> int:
         "c": fileio.complex_pairs(c.c),
     }
     if args.cepstral:
-        m = estimate_cepstra(
-            realizations, grid, args.degree, smoothing=not args.no_smoothing
-        )
+        m = estimate_cepstra(realizations, grid, args.degree, smoothing=not args.no_smoothing)
         payload["m"] = fileio.complex_pairs(m.m)
     fileio.dump_json(payload, _out_path(args, "estimates.json"))
     print(
@@ -267,7 +261,7 @@ def run_check(args) -> int:
         "margin": cert.margin,
     }
     if cert.witness is not None:
-        payload["witness"] = [float(x) for x in cert.witness.real_values()]
+        payload["witness"] = cert.witness.real_values()
     fileio.dump_json(payload, _out_path(args, "check.json"))
     print(
         ("feasible" if cert.feasible else "infeasible")

@@ -2,10 +2,12 @@
 
 JSON carries structured inputs and outputs, CSV carries array and plot data.
 Numbers are serialized with 17 significant digits so every round trip is
-lossless, and the writer emits keys in insertion order with fixed layout, so
-rerunning a command on identical input produces byte-identical files.  A CSV
-table is formatted in one %-format over its columns: %d for integer columns,
-%.17g for the rest, each float column checked for finiteness once.
+lossless, and the writer emits keys in insertion order with fixed layout.  A
+float array in JSON and a CSV table are each formatted in one %-format (%.17g,
+%d for integer columns), checked for finiteness once, before the file opens.
+Each file is rewritten in place and cut to length: a rerun's bytes equal a
+fresh run's, a refused write leaves an existing file as it was, and files that
+only an earlier, larger run wrote (extra realization_*.csv) are not removed.
 
 Conventions: covariance and cepstral sequences are lists of [re, im] pairs
 (bare numbers are accepted on input and read as real); symbols are flat real
@@ -19,6 +21,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain
@@ -50,26 +53,35 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _finite(arr: np.ndarray) -> np.ndarray:
+    """arr, unless it holds a nan or an inf: then the non-finite refusal."""
+    return arr if np.isfinite(arr).all() else format_float(arr[~np.isfinite(arr)].flat[0])
+
+
+def _float_rows(seq):
+    """seq as a float array if it is a flat list of floats or a float array flat or of rows of at most 4."""
+    if not isinstance(seq, np.ndarray):
+        return np.array(seq, dtype=float) if all(isinstance(x, (float, np.floating)) for x in seq) else None
+    return seq if seq.dtype.kind == "f" and (seq.ndim == 1 or seq.ndim == 2 and seq.shape[1] <= 4) else None
+
+
 def _emit(obj, indent: int = 0) -> str:
     pad = " " * indent
     inner = " " * (indent + 2)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(key))}: {_emit(value, indent + 2)}"
-            for key, value in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        items = [f"{inner}{json.dumps(str(key))}: {_emit(value, indent + 2)}" for key, value in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}" if items else "{}"
     if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(x, (dict, list, tuple, np.ndarray)) for x in seq)
-        if flat and len(seq) <= 4:
-            return "[" + ", ".join(_emit(x) for x in seq) + "]"
-        items = [f"{inner}{_emit(x, indent + 2)}" for x in seq]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+        arr = _float_rows(obj)    # a float array is laid out by one %-format over its values
+        if arr is None:
+            items = [_emit(x, indent + 2) for x in obj]
+            flat = not any(isinstance(x, (dict, list, tuple, np.ndarray)) for x in obj)
+        else:
+            row = "%.17g" if arr.ndim == 1 else "[" + ", ".join(["%.17g"] * arr.shape[1]) + "]"
+            items, flat = [row] * len(arr), arr.ndim == 1
+        inline = not items or flat and len(items) <= 4
+        text = "[" + ", ".join(items) + "]" if inline else f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+        return text if arr is None else text % tuple(_finite(arr).ravel().tolist())
     if isinstance(obj, (bool, str)) or obj is None:    # before int: bool subclasses int
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -79,10 +91,19 @@ def _emit(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text over the file in place, then cut it where the text ends: a rerun reuses its blocks."""
+    rest, fd = memoryview(text.encode()), os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        while rest:    # a write may take fewer bytes than asked
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+
+
 def dump_json(obj: dict, path: str) -> None:
-    text = _emit(obj)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write_text(path, _emit(obj) + "\n")
 
 
 def load_json(path: str) -> dict:
@@ -110,8 +131,8 @@ def sha256_file(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def complex_pairs(values: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex)]
+def complex_pairs(values: np.ndarray) -> np.ndarray:
+    return np.column_stack([np.real(values), np.imag(values)])
 
 
 def _is_number(x) -> bool:
@@ -137,8 +158,7 @@ def parse_complex_list(raw, name: str) -> np.ndarray:
 
 def symbol_to_json(p: SymmetricPseudoPolynomial) -> list:
     """Flat real array [p_0, re p_1, im p_1, ...]."""
-    tail = p.coeffs[1:]
-    return [float(p.coeffs[0].real)] + np.column_stack([tail.real, tail.imag]).ravel().tolist()
+    return [float(p.coeffs[0].real)] + complex_pairs(p.coeffs[1:]).ravel().tolist()
 
 
 def symbol_from_json(raw, name: str) -> SymmetricPseudoPolynomial:
@@ -198,13 +218,9 @@ def _header(data: dict, source: str, required, known=None) -> list[str]:
     return warnings
 
 
-def _grid(data: dict, source: str) -> DiscreteGrid:
-    return _checked(source, lambda: DiscreteGrid(data["N"]))
-
-
 def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
     warnings = _header(data, source, ("N", "c"), PROBLEM_KEYS)
-    grid = _grid(data, source)
+    grid = _checked(source, lambda: DiscreteGrid(data["N"]))
     c = _checked(source, lambda: CovarianceSequence(parse_complex_list(data["c"], "c")))
 
     m = None
@@ -306,7 +322,8 @@ def load_model(path: str) -> tuple[DiscreteGrid, SymmetricPseudoPolynomial, Symm
     """
     data = load_json(path)
     _header(data, path, ("N", "p", "q"))
-    return _grid(data, path), symbol_from_json(data["p"], "p"), symbol_from_json(data["q"], "q")
+    grid = _checked(path, lambda: DiscreteGrid(data["N"]))
+    return grid, symbol_from_json(data["p"], "p"), symbol_from_json(data["q"], "q")
 
 
 def model_spectrum(grid, p, q) -> SpectrumSamples:
@@ -336,16 +353,11 @@ def _write_table(path: str, header: str, columns) -> None:
     for column in columns:
         arr = np.asarray(column)
         if arr.dtype.kind not in "iu":
-            arr = np.asarray(arr, dtype=float)
-            bad = arr[~np.isfinite(arr)]
-            if bad.size:
-                format_float(bad[0])    # raises the non-finite refusal
+            arr = _finite(np.asarray(arr, dtype=float))
         formats.append("%d" if arr.dtype.kind in "iu" else "%.17g")
         values.append(arr.tolist())
     body = (",".join(formats) + "\n") * (len(values[0]) if values else 0)
-    text = header + "\n" + body % tuple(chain.from_iterable(zip(*values)))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write_text(path, header + "\n" + body % tuple(chain.from_iterable(zip(*values))))
 
 
 def write_spectrum_csv(path: str, phi: SpectrumSamples) -> None:
@@ -353,13 +365,13 @@ def write_spectrum_csv(path: str, phi: SpectrumSamples) -> None:
 
 
 def write_complex_csv(path: str, header: str, values: np.ndarray) -> None:
-    z = np.asarray(values, dtype=complex)
-    _write_table(path, header, [np.arange(z.size), z.real, z.imag])
+    _write_table(path, header, [np.arange(len(values)), np.real(values), np.imag(values)])
 
 
 def read_realization_csv(path: str, grid: DiscreteGrid) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        data = np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2)
+    with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # a file without rows fails the check below
+        data = _checked(path, lambda: np.loadtxt(fh, delimiter=",", skiprows=1, ndmin=2))
     if data.shape[1] != 3 or data.shape[0] != grid.size:
         raise InputFormatError(f"{path}: expected {grid.size} rows of t,re,im")
     return np.ascontiguousarray(data[:, 1:]).view(complex)[:, 0]    # no 0 * inf from 1j * im
@@ -390,7 +402,7 @@ def read_ensemble(dir_path: str) -> tuple[np.ndarray, DiscreteGrid, dict]:
         raise InputFormatError(f"{dir_path}: no manifest.json found")
     manifest = load_json(manifest_path)
     _header(manifest, manifest_path, ("N", "files"))
-    grid = _grid(manifest, manifest_path)
+    grid = _checked(manifest_path, lambda: DiscreteGrid(manifest["N"]))
     files = manifest["files"]
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise InputFormatError(f'{manifest_path}: field "files" must be a list of file names')

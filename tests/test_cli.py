@@ -644,6 +644,27 @@ class TestSimulateEstimate:
         assert err.startswith("ValueError: realization 1 is not finite at t=2: (")
         assert "inf" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,0.5,abc\n", "could not convert string 'abc' to float64"),
+        ("", "expected 16 rows of t,re,im"),
+    ], ids=["non_numeric_field", "header_only"])
+    def test_estimate_names_an_unreadable_realization(self, tmp_path, capsys, body, message):
+        # exit 1 with the bad file's path first, and no numpy warning before it
+        model = self.solved_model(tmp_path)
+        ensemble = tmp_path / "ens"
+        assert main(["simulate", model, "--count", "3", "--seed", "3", "--out", str(ensemble)]) == 0
+        path = ensemble / "realization_0002.csv"
+        path.write_text("t,re,im\n" + body)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["estimate", str(ensemble), "--degree", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert caught == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"InputFormatError: {path}: ")
+        assert message in err and err.count("\n") == 1
+
     def test_closed_loop_identification(self, tmp_path):
         model = self.solved_model(tmp_path)
         ensemble = tmp_path / "ens"
@@ -822,6 +843,38 @@ class TestOutputDirectory:
         # the symbol's own overflow still warns; nothing after it does
         assert caught
         assert all(os.path.basename(w.filename) == "circulant.py" for w in caught)
+
+    def test_rerun_over_a_larger_problem_equals_a_fresh_run(self, tmp_path):
+        # outputs are rewritten in place and cut to length: no tail of the longer files is left
+        larger = write_problem(tmp_path, {"version": 1, "N": 64, "c": [[1.0, 0.0], [0.5, 0.1], [0.2, 0.0]]},
+                               "larger.json")
+        smaller = write_problem(tmp_path, AR1)
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["solve", larger, "--out", str(reused)]) == 0
+        before = {name: (reused / name).stat().st_size for name in os.listdir(reused)}
+        assert main(["solve", smaller, "--out", str(reused)]) == 0
+        assert main(["solve", smaller, "--out", str(fresh)]) == 0
+        assert sorted(os.listdir(reused)) == sorted(os.listdir(fresh))
+        for name in os.listdir(fresh):
+            if name != "run.json":
+                assert (reused / name).stat().st_size < before[name]
+                assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_smaller_ensemble_leaves_the_extra_realizations(self, tmp_path):
+        # the manifest names the files of this run; an earlier run's extra files stay, unread
+        model = os.path.join(FIXTURES, "sim_model.json")
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        assert main(["simulate", model, "--count", "5", "--seed", "4", "--out", str(reused)]) == 0
+        assert main(["simulate", model, "--count", "3", "--seed", "3", "--out", str(reused)]) == 0
+        assert main(["simulate", model, "--count", "3", "--seed", "3", "--out", str(fresh)]) == 0
+        extra = {"realization_0003.csv", "realization_0004.csv"}
+        assert set(os.listdir(reused)) == set(os.listdir(fresh)) | extra
+        for name in os.listdir(fresh):
+            if name != "run.json":
+                assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        for ensemble in (reused, fresh):
+            assert main(["estimate", str(ensemble), "--degree", "1", "--out", str(ensemble / "est")]) == 0
+        assert (reused / "est" / "estimates.json").read_bytes() == (fresh / "est" / "estimates.json").read_bytes()
 
     @pytest.mark.parametrize("command, source, extra", [
         ("check", "ar1_problem.json", []),

@@ -719,7 +719,7 @@ class TestSolverProperty:
     def test_slow_draw_reaches_the_tolerance(self):
         # a degree-5 model with zeros and poles up to 0.87 at N = 500, from either start:
         # the first steps take Q to min 1e-6 and it crawls there, t <= 1/8, converging
-        # only after some 350 iterations (roots given as modulus, angle)
+        # only after 297 iterations with max_iter=1000 (roots given as modulus, angle)
         def roots(*polar):
             return [r * np.exp(1j * a) for r, a in polar]
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestNumberFormat:
 class TestComplexLists:
     def test_pairs_round_trip(self):
         values = np.array([1.0, 0.3 + 0.1j, -0.2 - 0.7j])
-        raw = fio.complex_pairs(values)
+        raw = fio.complex_pairs(values).tolist()
         assert raw == [[1.0, 0.0], [0.3, 0.1], [-0.2, -0.7]]
         back = fio.parse_complex_list(raw, "c")
         np.testing.assert_array_equal(back, values)
@@ -262,12 +263,13 @@ class TestResultPayloads:
         assert len(data["extended_c"]) == grid.N + 1
         assert data["residual"] <= 1e-8
 
-    def test_joint_payload_with_epsilon(self):
+    def test_joint_payload_with_epsilon(self, tmp_path):
         grid = DiscreteGrid(8)
         c = CovarianceSequence([1.0, 0.3])
         m = CepstralSequence([0.05])
         report = joint_solve(JointProblem(grid, c, m, regularization=0.01))
-        data = fio.joint_to_dict(report)
+        fio.dump_json(fio.joint_to_dict(report), str(tmp_path / "joint.json"))
+        data = fio.load_json(str(tmp_path / "joint.json"))
         assert data["kind"] == "joint"
         assert data["lambda"] == 0.01
         assert data["boundary_flag"] is False
@@ -389,6 +391,20 @@ class TestCsv:
         back = fio.read_realization_csv(str(path), grid)
         np.testing.assert_array_equal(back, y)
 
+    @pytest.mark.parametrize("body, message", [
+        ("0,1,0\n1,abc,0\n", "could not convert string 'abc'"),
+        ("", "expected 8 rows of t,re,im"),
+    ], ids=["non_numeric_field", "header_only"])
+    def test_unreadable_realization_names_its_file(self, tmp_path, body, message):
+        # an error that starts with the path, and no numpy warning before it
+        path = tmp_path / "realization_0007.csv"
+        path.write_text("t,re,im\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fio.InputFormatError, match=message) as info:
+                fio.read_realization_csv(str(path), DiscreteGrid(4))
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_realization_shape_check(self, tmp_path):
         path = tmp_path / "short.csv"
         fio.write_complex_csv(str(path), "t,re,im", np.zeros(4, dtype=complex))
@@ -459,12 +475,20 @@ def written(write, *args):
 
 
 def refused(write, *args):
-    """True when write(path, *args) refuses with the non-finite error and leaves no file."""
+    """True when write(path, *args) refuses with the non-finite error, makes no file
+    where there was none, and leaves a file that was there byte for byte as it was."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out")
         with pytest.raises(ValueError, match="non-finite"):
             write(path, *args)
-        return not os.path.exists(path)
+        created = os.path.exists(path)
+        earlier = b"an earlier output\n" * 40
+        with open(path, "wb") as fh:
+            fh.write(earlier)
+        with pytest.raises(ValueError, match="non-finite"):
+            write(path, *args)
+        with open(path, "rb") as fh:
+            return not created and fh.read() == earlier
 
 
 class TestWriterProperties:
@@ -528,6 +552,100 @@ class TestWriterProperties:
         if values.size % 2 == 0:
             phi = SpectrumSamples(DiscreteGrid(values.size // 2), values)
             assert refused(fio.write_spectrum_csv, phi)
+
+
+def reference_json(obj, indent=0):
+    """The layout rule one value at a time: format_float per float, at most 4 flat
+    scalars inline, longer lists and lists of lists one item per line."""
+    pad, inner = " " * indent, " " * (indent + 2)
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(key)}: {reference_json(v, indent + 2)}" for key, v in obj.items()]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        obj = list(obj)
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        if len(obj) <= 4 and not any(isinstance(x, (list, np.ndarray)) for x in obj):
+            return "[" + ", ".join(fio.format_float(x) for x in obj) + "]"
+        return "[\n" + ",\n".join(inner + reference_json(x, indent + 2) for x in obj) + "\n" + pad + "]"
+    return fio.format_float(obj)
+
+
+def float_rows(width):
+    return st.lists(st.lists(FLOATS, min_size=width, max_size=width), max_size=9)
+
+
+class TestArrayPath:
+    """_emit's one %-format per float array against per-value format_float."""
+
+    @PROPERTY
+    @given(st.lists(FLOATS, max_size=12))
+    def test_flat_lists(self, values):
+        assert fio._emit(values) == reference_json(values)
+        assert fio._emit({"a": {"b": values}}) == reference_json({"a": {"b": values}})
+
+    @PROPERTY
+    @given(float_rows(2))
+    def test_lists_of_pairs(self, rows):
+        assert fio._emit({"c": rows}) == reference_json({"c": rows})
+
+    @PROPERTY
+    @given(float_arrays(0, 12))
+    def test_flat_arrays(self, values):
+        assert fio._emit({"x": values}) == reference_json({"x": values})
+        single = np.clip(values, -1e38, 1e38).astype(np.float32)
+        assert fio._emit({"x": single}) == reference_json({"x": single})
+
+    @PROPERTY
+    @given(st.integers(0, 6).flatmap(float_rows))
+    def test_row_arrays(self, rows):
+        width = len(rows[0]) if rows else 2
+        table = np.array(rows, dtype=float).reshape(len(rows), width)
+        assert fio._emit({"t": table}) == reference_json({"t": table})
+
+    def test_lists_that_are_not_all_floats_keep_each_form(self):
+        # ints, bools and None are not floats: 10**20 stays exact, True stays true
+        mixed = [1, 2.5, True, 10**20, None, 3.0]
+        assert fio._emit(mixed) == "[\n  1,\n  2.5,\n  true,\n  100000000000000000000,\n  null,\n  3\n]"
+        assert fio._emit([2, 0.5]) == "[2, 0.5]"
+        assert fio._emit(np.arange(6)) == "[\n" + ",\n".join(f"  {k}" for k in range(6)) + "\n]"
+
+
+class TestInPlaceRewrite:
+    """Every writer rewrites its file in place and cuts it to the new length."""
+
+    WRITERS = {
+        "dump_json": lambda path, n: fio.dump_json({"values": np.linspace(-1.0, 1.0, n)}, path),
+        "write_csv": lambda path, n: fio.write_csv(path, "i,x", [(i, i / 3.0) for i in range(n)]),
+        "write_complex_csv": lambda path, n: fio.write_complex_csv(
+            path, "k,re,im", np.exp(1j * np.arange(n))
+        ),
+        "write_spectrum_csv": lambda path, n: fio.write_spectrum_csv(
+            path, SpectrumSamples(DiscreteGrid(n), np.linspace(0.5, 2.0, 2 * n))
+        ),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_shorter_rewrite_equals_a_fresh_write(self, tmp_path, writer):
+        write = self.WRITERS[writer]
+        path, fresh = str(tmp_path / "out"), str(tmp_path / "fresh")
+        write(path, 50)
+        longer = os.path.getsize(path)
+        write(path, 3)
+        write(fresh, 3)
+        assert os.path.getsize(path) < longer
+        with open(path, "rb") as a, open(fresh, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        # a write may take fewer bytes than asked; the writer goes on where it stopped
+        payload, write = {"values": np.linspace(-1.0, 1.0, 9)}, os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:7])))
+        fio.dump_json(payload, str(tmp_path / "short.json"))
+        monkeypatch.undo()
+        fio.dump_json(payload, str(tmp_path / "whole.json"))
+        assert (tmp_path / "short.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
 class TestEnsembleFiles:
