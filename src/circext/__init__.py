@@ -13,6 +13,8 @@ process tools `sample_realizations` / `estimate_covariances` /
 `estimate_cepstra`.  The `circext` command line wraps all of them.
 """
 
+from types import ModuleType as _ModuleType
+
 from .approx import (
     NotInOuterCone,
     SweepReport,
@@ -96,72 +98,7 @@ from .process import (
 
 __version__ = ARTIFACT_VERSION
 
-__all__ = [
-    "ARTIFACT_VERSION",
-    "BoundaryCollapseError",
-    "CepstralSequence",
-    "Circulant",
-    "CovarianceSequence",
-    "CyclicShift",
-    "DiscreteGrid",
-    "DualProblem",
-    "FeasibilityCertificate",
-    "GridMismatchError",
-    "HermitianCirculant",
-    "InputFormatError",
-    "IterationRecord",
-    "JointProblem",
-    "JointReport",
-    "MaxIterationsError",
-    "NotInOuterCone",
-    "Signal",
-    "SingularSymbolError",
-    "SolutionReport",
-    "SolverOptions",
-    "SpectrumSamples",
-    "SweepReport",
-    "SweepStage",
-    "SymmetricPseudoPolynomial",
-    "ThresholdNotFound",
-    "add",
-    "banded_check",
-    "cepstral_moments",
-    "complete_covariances",
-    "conjugacy_check",
-    "constant_symbol",
-    "continuation_solve",
-    "convergence_sweep",
-    "covariance_moments",
-    "default_schedule",
-    "dft",
-    "dft_direct",
-    "dual_gradient",
-    "dual_hessian",
-    "dual_value",
-    "epsilon_report",
-    "estimate_cepstra",
-    "estimate_covariances",
-    "eval_symbol",
-    "feasibility_certificate",
-    "find_threshold",
-    "idft",
-    "idft_direct",
-    "inner_product",
-    "integrate",
-    "invert",
-    "is_hermitian_even",
-    "is_positive_on_grid",
-    "joint_gradient",
-    "joint_hessian",
-    "joint_solve",
-    "joint_value",
-    "maxent_solve",
-    "multiply",
-    "newton_solve",
-    "periodogram",
-    "plancherel_inner",
-    "sample_realizations",
-    "symbol_from_samples",
-    "toeplitz_matrix",
-    "toeplitz_positive",
-]
+# the exports are the public names imported above, submodules aside
+__all__ = sorted(
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _ModuleType))
+)

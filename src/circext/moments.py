@@ -17,7 +17,7 @@ from .grid import DiscreteGrid, SpectrumSamples, require_positive
 from .kernels import (
     coeffs_to_real, grid_basis, hermitian_toeplitz, moment_vector, pairing, real_to_coeffs,
 )
-from .simplex import _simplex
+from .simplex import PIVOT_BUDGET, _pivot_until_optimal
 
 FEASIBLE_TOL = 1e-12     # strictly-interior floor on the LP margin
 CERT_TOL = 1e-9          # a-posteriori bound on the certificate residuals
@@ -107,6 +107,34 @@ def inner_product(c: CovarianceSequence, p: SymmetricPseudoPolynomial) -> float:
     return pairing(c.c[: n + 1], p.coeffs[: n + 1])
 
 
+def _crash_basis(lags: np.ndarray, N: int) -> np.ndarray:
+    """n disjoint pairs of adjacent nodes (m, m+1) at the zeros of the min-norm polynomial.
+
+    The 2n columns of such pairs form a basis of the certificate LP whose dual
+    Q is prod_i (cos(pi/2N) - cos(theta - phi_i)) / q_0, phi_i the midpoint of
+    pair i: >= 0 at every node and zero at the pairs, so dual feasible.  v is e_0
+    projected on the eigenvectors of T(0, c_1 ... c_n) whose eigenvalues lie within
+    1e-9 max|eig| of the smallest: Pisarenko's vector when that one is simple.
+    Each of the n deepest dips of |V|^2, V(z) = sum v_k z^k sampled at the nodes
+    through the trig basis, takes the dip node and its lower neighbour; a pair
+    that overlaps an earlier one moves on to the next free pair, and pairs for
+    dips |V| lacks are spread evenly.  O(n^3 + nN) work, no root finder.
+    """
+    n, size = lags.size - 1, 2 * N
+    eigs, vecs = np.linalg.eigh(hermitian_toeplitz(np.concatenate(([0.0], lags[1:]))))
+    space = vecs[:, eigs <= eigs[0] + 1e-9 * np.abs(eigs).max()]
+    v = space @ space[0].conj()
+    power = coeffs_to_real(np.correlate(v, v, "full")[n:]) @ grid_basis(size, n)    # |V|^2 at the nodes
+    below, above = np.roll(power, 1), np.roll(power, -1)
+    dips = np.flatnonzero((power <= below) & (power < above))
+    dips = dips[np.argsort(power[dips])[:n]]
+    starts = np.concatenate((dips - (below[dips] < above[dips]), np.arange(n - dips.size) * size // n))
+    starts, steps = np.sort(starts % size), 2 * np.arange(n)
+    starts = np.maximum.accumulate(starts - steps) + steps
+    starts = np.minimum(starts, starts[:1] + size - 2 * n + steps) % size
+    return np.stack((starts, (starts + 1) % size), axis=1).reshape(-1)
+
+
 @dataclass
 class FeasibilityCertificate:
     """Outcome of the max-min feasibility program on one grid, with its proof.
@@ -143,9 +171,11 @@ def feasibility_certificate(c: CovarianceSequence, grid: DiscreteGrid) -> Feasib
         raise ValueError(f"need n < N, got n={n}, N={grid.N}")
     if not np.isfinite(c.c).all():
         raise ValueError(f"the lags must be finite, got {c.c!r}")
-    rows = 0.5 * grid_basis(grid.size, n)[1:]
-    u, value, y, pivots = _simplex(-np.ones(grid.size), rows, coeffs_to_real(c.c)[1:])
-    margin = float(c.c[0].real + value)
+    rows, b, basis = 0.5 * grid_basis(grid.size, n)[1:], coeffs_to_real(c.c)[1:], _crash_basis(c.c, grid.N)
+    xb, y, pivots = _pivot_until_optimal(rows, b, -np.ones(grid.size), basis, PIVOT_BUDGET)
+    u = np.zeros(grid.size)
+    u[basis] = np.maximum(xb, 0.0)    # a negative basic value is a rounded zero
+    margin = float(c.c[0].real - u.sum())
     nodes = margin + grid.size * u
     dual = SymmetricPseudoPolynomial(real_to_coeffs(np.concatenate(([1.0], 0.5 * y))))
     lag_residual = float(np.abs(moment_vector(grid.angles, nodes, n) - c.c).max())

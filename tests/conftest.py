@@ -25,6 +25,23 @@ def make_rng(seed):
     return np.random.default_rng(seed)
 
 
+def symbol_values(coeffs, N):
+    """Q(zeta_j) = q_0 + 2 Re sum_k q_k zeta_j^{-k} by an explicit sum."""
+    theta = np.pi * np.arange(-N + 1, N + 1) / N
+    values = np.full(2 * N, coeffs[0].real)
+    for k in range(1, len(coeffs)):
+        values += 2.0 * (coeffs[k] * np.exp(-1j * k * theta)).real
+    return values
+
+
+def assert_vertex(dual, N):
+    """The dual symbol of an optimal basis: >= -1e-12 on the grid and zero, to
+    1e-9 of its largest value, at the 2n nodes of the basic columns at least."""
+    values = symbol_values(dual.coeffs, N)
+    assert values.min() >= -1e-12
+    assert np.count_nonzero(np.abs(values) <= 1e-9 * values.max()) >= 2 * dual.degree
+
+
 def random_hermitian_tail(rng, n, scale=1.0):
     """n complex coefficients with decaying magnitudes."""
     decay = scale / (1.0 + np.arange(n))

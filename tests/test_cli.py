@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circext import approx, cli
+from circext import CovarianceSequence, DiscreteGrid, approx, cli, feasibility_certificate
 from circext import fileio as fio
 from circext.cli import main
 
-from conftest import rewrite_record
+from conftest import assert_vertex, rewrite_record
 
 WHITE = {"version": 1, "N": 8, "c": [[1.0, 0.0]]}
 AR1 = {"version": 1, "N": 8, "c": [[1.0, 0.0], [0.3, 0.1]]}
@@ -213,10 +213,13 @@ class TestCheck:
         assert len(payload["witness"]) == 2 * N
         assert min(payload["witness"]) == pytest.approx(payload["margin"])
         record = json.loads((out / "run.json").read_text())["timings"]["certificate"]
-        assert record["pivots"] > 0
         assert record["lag_residual"] <= 1e-9
-        assert record["min_dual"] >= -1e-9
+        assert record["min_dual"] >= -1e-12
         assert record["duality_gap"] <= 1e-9
+        # the basis the pivots end on is optimal, which they may reach in none
+        cert = feasibility_certificate(CovarianceSequence([re + 1j * im for re, im in data["c"]]), DiscreteGrid(N))
+        assert cert.pivots == record["pivots"]
+        assert_vertex(cert.dual, N)
 
     @pytest.mark.parametrize("command", ["solve", "maxent"])
     def test_certificate_residuals_go_to_run_json_only(self, tmp_path, command):
@@ -230,13 +233,13 @@ class TestCheck:
     def test_unchecked_certificate_exits_two(self, tmp_path, capsys, monkeypatch):
         import circext.moments
 
-        solve = circext.moments._simplex
+        solve = circext.moments._pivot_until_optimal
 
         def wrong_dual(*args, **kwargs):
-            x, value, y, pivots = solve(*args, **kwargs)
-            return x, value, y + 0.5, pivots
+            xb, y, pivots = solve(*args, **kwargs)
+            return xb, y + 0.5, pivots
 
-        monkeypatch.setattr(circext.moments, "_simplex", wrong_dual)
+        monkeypatch.setattr(circext.moments, "_pivot_until_optimal", wrong_dual)
         out = tmp_path / "o"
         assert main(["check", write_problem(tmp_path, AR1), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -268,7 +271,7 @@ class TestCheck:
         def exhausted(*args, **kwargs):
             raise RuntimeError("simplex exceeded the pivot budget")
 
-        monkeypatch.setattr(circext.moments, "_simplex", exhausted)
+        monkeypatch.setattr(circext.moments, "_pivot_until_optimal", exhausted)
         problem = write_problem(tmp_path, AR1)
         out = tmp_path / "o"
         assert main(["check", problem, "--out", str(out)]) == 2
@@ -283,7 +286,7 @@ class TestCheck:
         def broken(*args, **kwargs):
             raise RuntimeError("something else")
 
-        monkeypatch.setattr(circext.moments, "_simplex", broken)
+        monkeypatch.setattr(circext.moments, "_pivot_until_optimal", broken)
         with pytest.raises(RuntimeError, match="something else"):
             main(["check", write_problem(tmp_path, AR1), "--out", str(tmp_path / "o")])
 

@@ -717,9 +717,11 @@ class TestSolverProperty:
 
     @pytest.mark.xfail(strict=True, raises=MaxIterationsError, reason="known defect, ROADMAP.md item 3")
     def test_slow_draw_reaches_the_tolerance(self):
-        # a degree-5 model with zeros and poles up to 0.87 at N = 500, from either start:
-        # the first steps take Q to min 1e-6 and it crawls there, t <= 1/8, converging
-        # only after 297 iterations with max_iter=1000 (roots given as modulus, angle)
+        # a degree-5 model with zeros and poles up to 0.87 at N = 500.  The Yule-Walker
+        # start is not interior here (min sample -1890), so the solve starts at the
+        # constant mean(P) / c_0; the first steps take Q to min 1e-6 and it crawls
+        # there, t <= 1/8, converging only after 297 iterations with max_iter=1000
+        # (roots given as modulus, angle)
         def roots(*polar):
             return [r * np.exp(1j * a) for r, a in polar]
 

@@ -27,11 +27,12 @@ from circext import (
     toeplitz_matrix,
     toeplitz_positive,
 )
-from circext import approx
+from circext import approx, moments
 from circext.moments import CERT_TOL, UNCHECKED_MESSAGE
 
 from conftest import (
-    arma_lags, line_lags, make_rng, model_lags, random_feasible_covariances, random_hermitian_tail,
+    arma_lags, assert_vertex, line_lags, make_rng, model_lags, random_feasible_covariances,
+    random_hermitian_tail, symbol_values,
 )
 
 # infeasibility of this sequence depends on the grid parity at small N even
@@ -110,15 +111,6 @@ def ordinary_maxent_q(c):
     x = np.linalg.solve(T, np.eye(n + 1)[0])
     q = np.array([np.sum(x[k:] * np.conj(x[: n + 1 - k])) for k in range(n + 1)]) / x[0].real
     return q, np.linalg.cond(T)
-
-
-def symbol_values(coeffs, N):
-    """Q(zeta_j) = q_0 + 2 Re sum_k q_k zeta_j^{-k} by an explicit sum."""
-    theta = np.pi * np.arange(-N + 1, N + 1) / N
-    values = np.full(2 * N, coeffs[0].real)
-    for k in range(1, len(coeffs)):
-        values += 2.0 * (coeffs[k] * np.exp(-1j * k * theta)).real
-    return values
 
 
 class TestSequences:
@@ -347,6 +339,7 @@ class TestCertificate:
 DUAL_CASES = (
     [(kind, n, N) for N in (8, 64, 512) for n in (1, 4, 7)
      for kind in ("line", "real", "complex", "infeasible")]
+    + [("line", 5, 1024), ("real", 8, 1024), ("complex", 3, 1024)]
     + [("line", 8, 4096), ("real", 5, 4096), ("complex", 8, 4096), ("infeasible", 3, 4096)]
 )
 
@@ -369,7 +362,6 @@ class TestDualCertificate:
         assert cert.lag_residual <= tol
         assert cert.min_dual >= -1e-9
         assert cert.duality_gap <= tol
-        assert cert.pivots > 0
         assert type(cert.feasible) is bool and type(cert.margin) is float    # JSON-ready
 
         # the same proof, recomputed here: Q >= 0 with q_0 = 1 bounds every
@@ -377,6 +369,7 @@ class TestDualCertificate:
         q = cert.dual.coeffs
         assert q.size == n + 1 and q[0] == pytest.approx(1.0, abs=1e-15)
         assert symbol_values(q, N).min() >= -1e-9
+        assert_vertex(cert.dual, N)
         assert inner_product(seq, cert.dual) == pytest.approx(cert.margin, abs=tol)
         if cert.feasible:
             w = cert.witness.values.real
@@ -393,13 +386,7 @@ class TestDualCertificate:
         if kind in ("real", "complex"):
             assert cert.feasible
 
-        ref = equality_form_margin(seq.c, N)
-        if N < 4096:
-            assert cert.margin == pytest.approx(ref, abs=1e-8)
-        else:
-            # here the proof above is the oracle and HiGHS a lower bound only:
-            # in the inequality form it stops up to 3e-7 short of the optimum
-            assert cert.margin >= ref - 1e-10
+        assert cert.margin == pytest.approx(equality_form_margin(seq.c, N), abs=tol)
 
     def test_peaked_real_lags(self):
         # a degree-6 real spectrum with poles near radius 0.9: its optimal
@@ -459,15 +446,15 @@ class TestDualCertificate:
     def test_residual_failure_raises(self, monkeypatch):
         import circext.moments
 
-        solve = circext.moments._simplex
+        solve = circext.moments._pivot_until_optimal
 
         def shifted_witness(*args, **kwargs):
-            x, value, y, pivots = solve(*args, **kwargs)
-            x = x.copy()
-            x[2] += 1e-6
-            return x, value, y, pivots
+            xb, y, pivots = solve(*args, **kwargs)
+            xb = xb.copy()
+            xb[0] += 1e-6
+            return xb, y, pivots
 
-        monkeypatch.setattr(circext.moments, "_simplex", shifted_witness)
+        monkeypatch.setattr(circext.moments, "_pivot_until_optimal", shifted_witness)
         with pytest.raises(RuntimeError, match="certificate failed its residual check"):
             feasibility_certificate(CovarianceSequence([1.0, 0.3]), DiscreteGrid(64))
 
@@ -522,33 +509,100 @@ class TestGridDoublingProperty:
         c, N = case
         seq = CovarianceSequence(c)
         tol = CERT_TOL * seq.sup_norm()
-        try:
-            coarse, fine = (feasibility_certificate(seq, DiscreteGrid(M)) for M in (N, 2 * N))
-        except RuntimeError as err:
-            # the one refusal known: see test_near_white_noise_lags_are_certified
-            assert UNCHECKED_MESSAGE in str(err) and np.abs(seq.c[1:]).max() <= 1e-9 * seq.c[0].real
-            return
+        coarse, fine = (feasibility_certificate(seq, DiscreteGrid(M)) for M in (N, 2 * N))
         for M, cert in ((N, coarse), (2 * N, fine)):
             assert inner_product(seq, cert.dual) == pytest.approx(cert.margin, abs=tol)
             assert symbol_values(cert.dual.coeffs, M).min() >= -CERT_TOL
         assert fine.margin >= coarse.margin - tol
         assert fine.feasible or not coarse.feasible
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="known defect, ROADMAP.md item 3")
     def test_near_white_noise_lags_are_certified(self):
         # white noise plus lags at rounding level, the lags of a degree-6
-        # model with every root at 0.  Every ratio ties within RATIO_TOL,
-        # Bland's rule walks node by node into bases of condition 4e10, and
-        # the basic values reach -2e-8, so the witness misses the lags by
-        # 3e-8 and the residual check refuses.  Lags up to about 1e-11 are
-        # refused on some grids, first at N = 135 for degree 3 and at N = 24
-        # for degree 8; at N = 76 these lags are certified.
+        # model with every root at 0.  Every right-hand side is below
+        # RATIO_TOL, so every primal ratio ties; a phase one from artificial
+        # columns walked into bases of condition 4e10 here and missed the
+        # lags by 3e-8 at N = 152.  The crash basis is optimal at once.
         c = CovarianceSequence([
             1.0, 2.77555756e-17, -2.77555756e-17, 4.85722573e-17 - 4.16333634e-17j,
             -3.46944695e-17, 4.85722573e-17, -4.85722573e-17,
         ])
         assert feasibility_certificate(c, DiscreteGrid(76)).feasible
         assert feasibility_certificate(c, DiscreteGrid(152)).feasible
+
+
+class TestCrashBasis:
+    """The certificate LP starts at n disjoint pairs of adjacent nodes, whose dual
+    symbol is prod_i (cos(pi/2N) - cos(theta - phi_i)) / q_0: nonnegative at
+    every node and zero at the pairs, so the start is dual feasible."""
+
+    @staticmethod
+    def random_pairs(rng, n, N):
+        """Starts of n disjoint adjacent node pairs (m, m+1 mod 2N), at random."""
+        tokens = rng.permutation([2] * n + [1] * (2 * N - 2 * n))
+        starts = (np.cumsum(tokens) - tokens)[tokens == 2]
+        return (starts + rng.integers(2 * N)) % (2 * N)
+
+    def test_random_pairs_give_a_dual_zero_exactly_at_the_pairs(self):
+        rng = make_rng(271)
+        for _ in range(60):
+            N = int(rng.integers(2, 300))
+            n = int(rng.integers(1, min(N, 9)))
+            starts = self.random_pairs(rng, n, N)
+            basis = np.concatenate((starts, (starts + 1) % (2 * N)))
+            theta = np.pi * np.arange(-N + 1, N + 1) / N
+            k = np.arange(1, n + 1)[:, None]
+            rows = np.vstack((np.cos(k * theta), np.sin(k * theta)))
+            B = rows[:, basis]
+            assert np.linalg.matrix_rank(B) == 2 * n, (n, N, starts)
+            q = 1.0 + np.linalg.solve(B.T, -np.ones(2 * n)) @ rows    # Q = 1 + y . rows, zero on the basis
+            # factor i vanishes at pair i and is at least cos(pi/2N) - cos(3pi/2N) at every other node
+            mids = theta[starts] + np.pi / (2 * N)
+            factors = np.cos(np.pi / (2 * N)) - np.cos(theta - mids[:, None])
+            pair = np.zeros_like(factors, dtype=bool)
+            pair[np.arange(n), starts], pair[np.arange(n), (starts + 1) % (2 * N)] = True, True
+            assert np.abs(factors[pair]).max() <= 1e-15
+            assert factors[~pair].min() >= 0.99 * (np.cos(np.pi / (2 * N)) - np.cos(1.5 * np.pi / N))
+            closed = np.prod(factors, axis=0)
+            # the solve loses about cond(B) eps; adjacent columns make B ill-conditioned
+            np.testing.assert_allclose(q, closed / closed.mean(), rtol=0, atol=1e-15 * np.linalg.cond(B) * q.max())
+
+    @pytest.mark.parametrize("kind", ["line", "real", "complex", "white"])
+    def test_crash_is_n_disjoint_adjacent_pairs(self, kind):
+        rng = make_rng([277, len(kind)])
+        for n in range(1, 9):
+            for N in (n + 1, n + 2, 2 * n + 1, 64, 1024):
+                if kind == "line":
+                    c = line_lags(rng, n)
+                elif kind == "white":
+                    c = np.eye(n + 1)[0]
+                else:
+                    c = arma_lags(rng, n, N, kind == "real")
+                starts = moments._crash_basis(CovarianceSequence(c).c, N).reshape(n, 2)
+                assert ((starts[:, 1] - starts[:, 0]) % (2 * N) == 1).all(), (n, N)
+                assert np.unique(starts).size == 2 * n, (n, N)
+
+
+class TestDegenerateLags:
+    """Lags at or near white noise, where every ratio of a phase one would tie."""
+
+    @pytest.mark.parametrize("n", [0, 2, 4])
+    def test_white_noise_has_margin_c0(self, n):
+        c = CovarianceSequence(np.concatenate(([2.5], np.zeros(n))))
+        for N in (n + 1, 8, 1024):
+            cert = feasibility_certificate(c, DiscreteGrid(N))
+            assert cert.feasible and cert.margin == 2.5 and cert.pivots == 0
+            np.testing.assert_array_equal(cert.witness.values, 2.5)
+
+    def test_rounding_level_lags_are_all_certified(self):
+        # 600 draws of white noise plus lags of size 1e-17; a phase one from
+        # artificial columns refused 201 of them on its residual check
+        rng = np.random.default_rng(17)
+        for _ in range(600):
+            n = int(rng.integers(1, 9))
+            N = int(rng.integers(n + 1, 260))
+            c = np.concatenate(([1.0], 1e-17 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))))
+            cert = feasibility_certificate(CovarianceSequence(c), DiscreteGrid(N))
+            assert cert.feasible and cert.margin == pytest.approx(1.0, abs=1e-12), (n, N)
 
 
 class TestPolygonOracle:

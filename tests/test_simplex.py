@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from circext import CovarianceSequence, DiscreteGrid, feasibility_certificate, simplex
+from circext import CovarianceSequence, DiscreteGrid, feasibility_certificate, moments, simplex
 from circext.simplex import (
     PIVOT_BUDGET_MESSAGE,
     PIVOT_TOL,
@@ -223,15 +223,30 @@ def three_solve_pivot_until_optimal(A, b, cost, basis, max_pivots):
     """Reference pivot loop that solves three systems with the basis matrix at every pivot.
 
     This is the loop the maintained basis inverse replaced, with the same
-    pricing, ratio test and tie rules; it keeps no inverse between pivots.
+    dual steps, pricing, ratio tests and tie rules; it keeps no inverse
+    between pivots.
     """
-    stalled = 0
+    stalled, floor = 0, -1e-13 * max(1.0, np.abs(b).max(initial=0.0))
     for pivots in range(max_pivots + 1):
         B = A[:, basis]
         xb = np.linalg.solve(B, b)
         y = np.linalg.solve(B.T, cost[basis])
         reduced = cost - y @ A
         reduced[basis] = 0.0
+        short = np.flatnonzero(xb < floor)
+        if short.size and stalled <= 2 * basis.size:
+            leaving = short[np.argmin(basis[short])] if stalled > basis.size else np.argmin(xb)
+            alpha = np.linalg.solve(B.T, np.eye(basis.size)[leaving]) @ A
+            alpha[basis] = 0.0
+            cols = np.flatnonzero(alpha < -PIVOT_TOL)
+            if cols.size:
+                if pivots == max_pivots:
+                    break
+                ratios = np.minimum(reduced[cols], 0.0) / alpha[cols]
+                ties = cols[(ratios - ratios.min()) * -alpha[cols] <= RATIO_TOL]
+                stalled = stalled + 1 if ratios.min() * -xb[leaving] <= RATIO_TOL else 0
+                basis[leaving] = ties[0] if stalled > basis.size else cols[np.argmin(ratios)]
+                continue
         entering = int(np.argmax(reduced > PRICE_TOL if stalled > basis.size else reduced))
         if reduced[entering] <= PRICE_TOL:
             return xb, y, pivots
@@ -252,7 +267,7 @@ def three_solve_pivot_until_optimal(A, b, cost, basis, max_pivots):
 CERTIFICATE_CASES = [
     (kind, n, N) for N in (8, 64, 1024) for n in (1, 3, 5, 8) if n < N
     for kind in ("line", "real", "complex")
-]
+] + [("real", 7, 165)]    # the rare branches' case below
 
 
 def certificate_lags(kind, n, N):
@@ -267,7 +282,7 @@ class TestBasisInverse:
     def test_certificates_match_the_three_solve_loop(self, kind, n, N, monkeypatch):
         c, grid = certificate_lags(kind, n, N), DiscreteGrid(N)
         cert = feasibility_certificate(c, grid)
-        monkeypatch.setattr(simplex, "_pivot_until_optimal", three_solve_pivot_until_optimal)
+        monkeypatch.setattr(moments, "_pivot_until_optimal", three_solve_pivot_until_optimal)
         ref = feasibility_certificate(c, grid)
         scale = c.c[0].real
         assert cert.feasible == ref.feasible
@@ -309,6 +324,7 @@ class TestBasisInverse:
 
         monkeypatch.setattr(np.linalg, "inv", recording_inv)
         monkeypatch.setattr(simplex, "_pivot_until_optimal", checked_pivot)
+        monkeypatch.setattr(moments, "_pivot_until_optimal", checked_pivot)
         for kind, n, N in CERTIFICATE_CASES:
             feasibility_certificate(certificate_lags(kind, n, N), DiscreteGrid(N))
         for lp in random_bounded_lps():
@@ -322,11 +338,13 @@ class TestBasisInverse:
 # certify benchmark, where it once exhausted the pivot budget.
 FAULT_C = [1.0, 0.5, 0.2 + 0.1j, 0.05, 0.02, 0.01]
 # Certificates on the record that take the two rare branches of the pivot
-# loop, found by counting them once: BLAND_CASE prices by Bland's rule for 32
-# pivots after degenerate stalls, and THREE_SOLVE_CASE meets a basis inverse
-# too large to update and solves three systems at each later pivot.
-BLAND_CASE = ("real", 1, 1024)
-THREE_SOLVE_CASE = ("line", 3, 64)
+# loop, found by counting them once over certificate_lags for n <= 8 and
+# N < 200, where this case alone stalls: BLAND_CASE takes 29 dual steps that
+# leave b . y where it was, the last 14 of them by smallest index, and then
+# takes the basic values still short for rounded zeros; THREE_SOLVE_CASE
+# starts at a crash basis whose inverse is too large to update and solves
+# with B at each of those pivots.
+BLAND_CASE = THREE_SOLVE_CASE = ("real", 7, 165)
 LP_RECORD = os.path.join(os.path.dirname(__file__), "golden", "certificate_census.json")
 
 
@@ -386,9 +404,8 @@ class TestLPRecord:
 
     def test_record_covers_both_rare_branches(self, monkeypatch):
         assert {"%s n=%d N=%d" % case for case in (BLAND_CASE, THREE_SOLVE_CASE)} <= set(self.RUNS)
-        # the updated-inverse path solves with B twice to close each phase and
-        # once per leftover artificial, of which there are at most 2n; the
-        # three-solve path solves three times at every pivot
+        # the updated-inverse path solves with B twice to close; the
+        # three-solve path solves three or four times at every pivot
         solves, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
         kind, n, N = THREE_SOLVE_CASE
