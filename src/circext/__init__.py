@@ -27,7 +27,6 @@ from .approx import (
 from .cepstral import (
     JointProblem,
     JointReport,
-    continuation_solve,
     epsilon_report,
     joint_gradient,
     joint_hessian,

@@ -281,7 +281,10 @@ def epsilon_report(report: JointReport) -> np.ndarray:
 def lambda_path(
     prob: JointProblem, weights, opts: SolverOptions | None = None
 ) -> list[JointReport]:
-    """Reports of `prob` at weights given largest first, each from the last (p, q)."""
+    """Reports of `prob` at weights given largest first, each from the last (p, q).
+
+    Its last report can reach a small lambda at which a cold solve stalls.
+    """
     reports = []
     for lam in weights:
         seed = (reports[-1].p, reports[-1].q) if reports else None
@@ -289,18 +292,3 @@ def lambda_path(
         reports.append(joint_solve(stage, opts, initial=seed))
     return reports
 
-
-def continuation_solve(prob: JointProblem, opts: SolverOptions | None = None) -> JointReport:
-    """Solve a chain of decreasing regularizations along `lambda_path`.
-
-    Stages shrink a tenth at a time from 1 (a target above 1 is one stage) and
-    finish at the problem's stored regularization exactly.  Useful near the
-    boundary of the cepstral cone, where a cold solve at small lambda stalls.
-    """
-    target = prob.regularization
-    lams, lam = [], 1.0
-    while lam > max(target, 1e-16) * (1.0 + 1e-9):
-        lams.append(lam)
-        lam /= 10.0
-    lams.append(target)
-    return lambda_path(prob, lams, opts)[-1]

@@ -67,9 +67,13 @@ class BoundaryCollapseError(RuntimeError):
 
 @dataclass
 class SolverOptions:
+    """grad_tol is the gradient stop, scaled by max(1, sup|c|) in newton_solve and by
+    max(1, sup|c|, max|m|) in joint_solve; max_iter is the iteration budget of one solve.
+    A problem file's `options` may set each field.
+    """
+
     grad_tol: float = 1e-10
     max_iter: int = 100
-    initial_q: SymmetricPseudoPolynomial | None = None
 
     def __post_init__(self):
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
@@ -250,22 +254,25 @@ def _residual(blocks) -> float:
     return max(norms)
 
 
-def newton_solve(prob: DualProblem, opts: SolverOptions | None = None) -> SolutionReport:
+def newton_solve(
+    prob: DualProblem, opts: SolverOptions | None = None, initial: SymmetricPseudoPolynomial | None = None
+) -> SolutionReport:
     """Minimize the dual objective; returns the matched denominator and spectrum.
 
-    Without opts.initial_q, Q starts at lags 0 ... n of P times the Yule-Walker
-    denominator where that is interior, else at (integral P dnu)/c_0.  Raises
-    BoundaryCollapseError when backtracking cannot leave the positivity floor or
-    <C,Q> <= 0 at a grid-positive Q, and MaxIterationsError when the budget runs out.
+    Q starts at `initial`, zero-padded to degree n, when given; else at lags 0 ... n
+    of P times the Yule-Walker denominator where that is interior, else at (integral
+    P dnu)/c_0.  Raises BoundaryCollapseError when backtracking cannot leave the
+    positivity floor or <C,Q> <= 0 at a grid-positive Q, and MaxIterationsError
+    when the budget runs out.
     """
     opts = opts or SolverOptions()
     grid, n, pv = prob.grid, prob.n, prob.p_samples.values.real
     B = grid_basis(grid.size, n)
     coeffs = np.zeros(n + 1, dtype=complex)
-    if (q0 := opts.initial_q) is not None:
-        if q0.degree > n:
-            raise ValueError(f"initial_q degree {q0.degree} exceeds lag count {n}")
-        coeffs[: q0.degree + 1] = q0.coeffs
+    if initial is not None:
+        if initial.degree > n:
+            raise ValueError(f"initial degree {initial.degree} exceeds lag count {n}")
+        coeffs[: initial.degree + 1] = initial.coeffs
     else:
         coeffs[0] = float(np.mean(pv)) / prob.c.c[0].real
         if (q := _yule_walker_start(prob.c.c, prob.p.coeffs)) is not None:

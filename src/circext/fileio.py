@@ -22,7 +22,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from itertools import chain
 
@@ -39,7 +39,6 @@ ARTIFACT_VERSION = "0.1.0"
 
 PROBLEM_KEYS = {"version", "N", "c", "m", "p", "options", "lambda"}
 APPROX_KEYS = {"version", "c", "p", "n_max", "grid_sizes", "reference_N"}
-OPTION_KEYS = {"grad_tol", "max_iter"}
 
 
 class InputFormatError(ValueError):
@@ -233,8 +232,9 @@ def problem_from_dict(data: dict, source: str = "problem") -> ProblemSpec:
     raw_opts = data.get("options", {})
     if not isinstance(raw_opts, dict):
         raise InputFormatError(f'{source}: field "options" must be an object')
+    option_keys = {f.name for f in fields(SolverOptions)}
     for key, value in raw_opts.items():
-        if key not in OPTION_KEYS:
+        if key not in option_keys:
             warnings.append(f'{source}: ignoring unknown option "{key}"')
             continue
         if not _is_number(value):

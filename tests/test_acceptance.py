@@ -22,7 +22,6 @@ from circext import (
     DualProblem,
     JointProblem,
     Signal,
-    SolverOptions,
     SpectrumSamples,
     SymmetricPseudoPolynomial,
     add,
@@ -128,7 +127,7 @@ def test_criterion_2_uniqueness_and_convexity():
         runs = [newton_solve(prob)]
         for _ in range(3):
             init = random_interior_q(rng, prob, runs[0].q)
-            runs.append(newton_solve(prob, SolverOptions(initial_q=init)))
+            runs.append(newton_solve(prob, initial=init))
         scale = max(1.0, float(np.max(np.abs(runs[0].q.coeffs))))
         for other in runs[1:]:
             spread = symbol_distance(runs[0].q, other.q)

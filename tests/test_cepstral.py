@@ -16,7 +16,6 @@ from circext import (
     SymmetricPseudoPolynomial,
     cepstral_moments,
     constant_symbol,
-    continuation_solve,
     covariance_moments,
     epsilon_report,
     eval_symbol,
@@ -429,28 +428,6 @@ class TestBoundary:
         assert not report.boundary_flag
         epsilon_report(report)
         assert eval_symbol(report.p, grid).real_values().min() > 0.0
-
-
-class TestContinuation:
-    def test_matches_direct_solve(self):
-        grid, p0, q0, spectrum, c, m = consistent_instance()
-        prob = JointProblem(grid, c, m, regularization=1e-2)
-        direct = joint_solve(prob)
-        staged = continuation_solve(prob)
-        assert symbol_distance(direct.q, staged.q) <= 1e-8
-        assert symbol_distance(direct.p, staged.p) <= 1e-8
-
-    @pytest.mark.parametrize("target, weights", [
-        (1e-2, [1.0, 0.1, 1e-2]),
-        (1.0, [1.0]),
-        (5.0, [5.0]),
-    ])
-    def test_stages_shrink_a_tenth_from_one(self, monkeypatch, target, weights):
-        grid, p0, q0, spectrum, c, m = consistent_instance()
-        seen = []
-        monkeypatch.setattr(cepstral, "lambda_path", lambda prob, lams, opts: seen.append(lams) or [None])
-        continuation_solve(JointProblem(grid, c, m, regularization=target))
-        assert seen == [weights]
 
 
 class TestLambdaPath:

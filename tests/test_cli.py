@@ -196,6 +196,12 @@ class TestCheck:
         assert len(payload["witness"]) == 16
         assert min(payload["witness"]) == pytest.approx(payload["margin"])
 
+    def test_start_point_is_not_a_file_option(self, tmp_path, capsys):
+        # a Newton start is an argument of newton_solve, not an option a file can set
+        problem = write_problem(tmp_path, {**AR1, "options": {"initial_q": [1.0, 0.2]}})
+        assert main(["check", problem, "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == f'{problem}: ignoring unknown option "initial_q"\n'
+
     def test_lags_above_unit_variance(self, tmp_path):
         data = {"version": 1, "N": 8, "c": [[2.5, 0.0], [0.75, 0.25]]}
         out = tmp_path / "o"

@@ -320,8 +320,16 @@ class TestUniqueness:
             scale = max(1.0, float(np.max(np.abs(reference.q.coeffs))))
             for _ in range(3):
                 start = random_interior_q(rng, prob, reference.q)
-                other = newton_solve(prob, SolverOptions(initial_q=start))
+                other = newton_solve(prob, initial=start)
                 assert symbol_distance(reference.q, other.q) <= 1e-6 * scale
+
+    def test_start_at_the_answer_takes_no_step(self):
+        rng = make_rng(409)
+        grid = DiscreteGrid(8)
+        prob = DualProblem(grid, random_feasible_covariances(rng, 2, grid), random_positive_symbol(rng, 2, grid))
+        report = newton_solve(prob)
+        again = newton_solve(prob, initial=report.q)
+        assert again.iterations == 0 and np.array_equal(again.q.coeffs, report.q.coeffs)
 
 
 class TestSensitivity:
@@ -479,7 +487,7 @@ class TestYuleWalkerStart:
         flat = float(np.mean(prob.p_samples.values.real)) / c.c[0].real
         start, _ = start_of(monkeypatch, prob)
         assert np.array_equal(start, [flat, 0.0, 0.0])
-        explicit = outcome(newton_solve, prob, SolverOptions(initial_q=constant_symbol(flat)))
+        explicit = outcome(newton_solve, prob, None, constant_symbol(flat))
         assert outcome(newton_solve, prob) == explicit
         assert "error" not in explicit
 
@@ -505,7 +513,7 @@ class TestYuleWalkerStart:
     def constant_start_outcome(self, c, grid):
         prob = DualProblem(grid, c, constant_symbol(1.0))
         start = constant_symbol(1.0 / c.c[0].real)
-        return outcome(newton_solve, prob, SolverOptions(initial_q=start))
+        return outcome(newton_solve, prob, None, start)
 
     def test_singular_toeplitz_matrix_falls_back(self):
         c, grid = CovarianceSequence([1.0, 1.0]), DiscreteGrid(4)
@@ -630,17 +638,17 @@ class TestFailureModes:
         with pytest.raises(ValueError):
             DualProblem(grid, CovarianceSequence([1.0]), random_positive_symbol(rng, 3, grid))
 
-    def test_initial_q_validation(self):
+    def test_initial_validation(self):
         rng = make_rng(397)
         grid = DiscreteGrid(8)
         c = random_feasible_covariances(rng, 1, grid)
         prob = DualProblem(grid, c, constant_symbol(1.0))
         too_long = SymmetricPseudoPolynomial(np.array([1.0, 0.1, 0.1]))
         with pytest.raises(ValueError):
-            newton_solve(prob, SolverOptions(initial_q=too_long))
+            newton_solve(prob, initial=too_long)
         negative = SymmetricPseudoPolynomial(np.array([1.0, 0.8]))
         with pytest.raises(ValueError):
-            newton_solve(prob, SolverOptions(initial_q=negative))
+            newton_solve(prob, initial=negative)
 
 
 def arma_spectra(seed, count, degrees, N=64):
@@ -680,10 +688,10 @@ def spread(n, N):
     return model_lags(ring(0.25), ring(0.75), n, N), model_lags(ring(0.25), [], n, N), N
 
 
-def newton_outcome(prob, opts=None):
+def newton_outcome(prob, initial=None):
     """The report of newton_solve, or the type of the solver error it raises."""
     try:
-        return newton_solve(prob, opts)
+        return newton_solve(prob, initial=initial)
     except (BoundaryCollapseError, MaxIterationsError) as exc:
         return type(exc)
 
@@ -710,7 +718,7 @@ class TestSolverProperty:
         report = newton_outcome(prob)
         if not isinstance(report, SolutionReport):
             flat = constant_symbol(float(np.mean(prob.p_samples.values.real)) / c[0].real)
-            assert newton_outcome(prob, SolverOptions(initial_q=flat)) is report
+            assert newton_outcome(prob, flat) is report
             return
         attained = np.array([np.mean(report.phi.values * grid.nodes**k) for k in range(c.size)])
         assert np.abs(attained - c).max() <= 1e-8 * max(1.0, float(np.abs(c).max()))
@@ -804,7 +812,7 @@ def newton_runs():
     runs = {f"maxent n5 N={N}": (maxent_solve, (n5, DiscreteGrid(N))) for N in (8, 256, 4096)}
     runs["newton P random N=64"] = (newton_solve, (DualProblem(grid, n5, p),))
     runs["newton initial_q N=64"] = (
-        newton_solve, (DualProblem(grid, rough, constant_symbol(1.0)), SolverOptions(initial_q=start))
+        newton_solve, (DualProblem(grid, rough, constant_symbol(1.0)), None, start)
     )
     for N in (64, 1024):
         runs[f"joint n5 lambda=0.01 N={N}"] = (

@@ -1,5 +1,6 @@
 """Problem files, result payloads, CSV round trips, deterministic output."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -17,6 +18,7 @@ from circext import (
     CovarianceSequence,
     DiscreteGrid,
     JointProblem,
+    SolverOptions,
     SpectrumSamples,
     cepstral_moments,
     covariance_moments,
@@ -203,6 +205,15 @@ class TestProblemParsing:
         spec = fio.problem_from_dict(data)
         assert any("verbose" in w for w in spec.warnings)
         assert spec.options.max_iter == 100
+
+    def test_every_solver_option_is_a_file_option(self):
+        # the parser reads its option names off SolverOptions, so the two cannot drift apart
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == ["grad_tol", "max_iter"]
+        data = self.base()
+        data["options"] = {f.name: 3 * f.default for f in dataclasses.fields(SolverOptions)}
+        spec = fio.problem_from_dict(data)
+        assert dataclasses.asdict(spec.options) == {"grad_tol": 3e-10, "max_iter": 300}
+        assert spec.warnings == []
 
     @pytest.mark.parametrize("option, value, message", [
         ("max_iter", 2.5, "max_iter must be an integer"),
