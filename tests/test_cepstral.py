@@ -430,6 +430,18 @@ class TestBoundary:
         assert eval_symbol(report.p, grid).real_values().min() > 0.0
 
 
+class TestContinuation:
+    def test_matches_direct_solve(self):
+        # the staged small-lambda solve is the last report of lambda_path
+        grid, p0, q0, spectrum, c, m = consistent_instance()
+        prob = JointProblem(grid, c, m, regularization=1e-2)
+        direct = joint_solve(prob)
+        staged = cepstral.lambda_path(prob, [1.0, 0.1, 1e-2])[-1]
+        assert staged.regularization == 1e-2
+        assert symbol_distance(direct.q, staged.q) <= 1e-8
+        assert symbol_distance(direct.p, staged.p) <= 1e-8
+
+
 class TestLambdaPath:
     def test_warm_stages_match_cold_solves(self):
         spec = load_problem(os.path.join(FIXTURES, "joint_problem.json"))
