@@ -7,6 +7,8 @@ one product with lag tables built once per (2N, kmax), as the trig basis is
 once per (2N, n).  hermitian_toeplitz is the one Toeplitz builder: the real
 Gram matrices the Newton solvers factor are its matrices over lags <= 2n in
 real coordinates, one O(n^3) product with a map derived from it once per degree.
+Its |k - l| index and conjugation mask are cached per size k in 9 k^2 bytes,
+2.6 kB at the k = 2n+1 = 17 of the n = 8 Gram map.
 """
 
 from __future__ import annotations
@@ -35,9 +37,14 @@ def grid_basis(size: int, n: int) -> np.ndarray:
     and N <= 4096; the 22 of one `extend` benchmark cycle (n <= 5) hold 1.03 MB.
     """
     half = size // 2
-    basis = trig_basis(np.pi * np.arange(1 - half, half + 1) / half, n)
-    basis.setflags(write=False)
-    return basis
+    return _read_only(trig_basis(np.pi * np.arange(1 - half, half + 1) / half, n))
+
+
+def _read_only(table):
+    """table, an array or a tuple of arrays, made read-only for a cache to hand out."""
+    for part in table if isinstance(table, tuple) else (table,):
+        part.setflags(write=False)
+    return table
 
 
 def moment_vector(angles: np.ndarray, values: np.ndarray, kmax: int) -> np.ndarray:
@@ -72,10 +79,7 @@ def _lag_table(size: int, kmax: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     half, lags = size // 2, np.arange(kmax + 1)
     wrapped = lags % size
     shift = np.exp(lags * (half - 1) % size * (-1j * np.pi / half))
-    table = np.minimum(wrapped, size - wrapped), shift, np.where(wrapped > half, 1.0, -1.0)
-    for part in table:
-        part.setflags(write=False)
-    return table
+    return _read_only((np.minimum(wrapped, size - wrapped), shift, np.where(wrapped > half, 1.0, -1.0)))
 
 
 def pairing(seq: np.ndarray, coeffs: np.ndarray) -> float:
@@ -87,9 +91,16 @@ def pairing(seq: np.ndarray, coeffs: np.ndarray) -> float:
 
 def hermitian_toeplitz(h: np.ndarray) -> np.ndarray:
     """Hermitian Toeplitz matrix T[k, l] = h_{k-l} with h_{-k} = conj(h_k), one per row of h."""
-    h = np.asarray(h, dtype=complex)
-    lag = np.subtract.outer(np.arange(h.shape[-1]), np.arange(h.shape[-1]))
-    return np.where(lag >= 0, h[..., np.abs(lag)], np.conj(h[..., np.abs(lag)]))
+    lag, upper = _toeplitz_index(np.shape(h)[-1])
+    T = np.asarray(h, dtype=complex)[..., lag]
+    return np.conjugate(T, out=T, where=upper)
+
+
+@functools.lru_cache(maxsize=32)
+def _toeplitz_index(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only |k - l| and the mask k < l of the size x size matrices."""
+    lag = np.subtract.outer(np.arange(size), np.arange(size))
+    return _read_only((np.abs(lag), lag < 0))
 
 
 def trig_gram(h: np.ndarray) -> np.ndarray:
@@ -118,9 +129,7 @@ def _gram_map(n: int) -> np.ndarray:
     half = np.array([real_to_coeffs(e) for e in np.eye(2 * n + 1)]).T
     R = np.vstack((half[:0:-1].conj(), half))
     T = hermitian_toeplitz(np.vstack((np.eye(2 * n + 1), 1j * np.eye(2 * n + 1))))
-    W = np.ascontiguousarray((R.conj().T @ T @ R).real.reshape(4 * n + 2, -1).T) + 0.0
-    W.setflags(write=False)
-    return W
+    return _read_only(np.ascontiguousarray((R.conj().T @ T @ R).real.reshape(4 * n + 2, -1).T) + 0.0)
 
 
 def coeffs_to_real(coeffs: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ decided by a small linear program whose dual symbol proves the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,14 +126,13 @@ def _crash_basis(lags: np.ndarray, N: int) -> np.ndarray:
     space = vecs[:, eigs <= eigs[0] + 1e-9 * np.abs(eigs).max()]
     v = space @ space[0].conj()
     power = coeffs_to_real(np.correlate(v, v, "full")[n:]) @ grid_basis(size, n)    # |V|^2 at the nodes
-    below, above = np.roll(power, 1), np.roll(power, -1)
+    below, above = np.concatenate((power[-1:], power[:-1])), np.concatenate((power[1:], power[:1]))
     dips = np.flatnonzero((power <= below) & (power < above))
     dips = dips[np.argsort(power[dips])[:n]]
-    starts = np.concatenate((dips - (below[dips] < above[dips]), np.arange(n - dips.size) * size // n))
-    starts, steps = np.sort(starts % size), 2 * np.arange(n)
-    starts = np.maximum.accumulate(starts - steps) + steps
-    starts = np.minimum(starts, starts[:1] + size - 2 * n + steps) % size
-    return np.stack((starts, (starts + 1) % size), axis=1).reshape(-1)
+    starts = sorted(((dips - (below[dips] < above[dips])) % size).tolist() + [k * size // n for k in range(n - dips.size)])
+    runs = accumulate((start - 2 * i for i, start in enumerate(starts)), max)    # pair i 2 or more past pair i-1
+    starts = [min(run, starts[0] + size - 2 * n) + 2 * i for i, run in enumerate(runs)]    # but room for the rest before pair 0
+    return np.array([(start + k) % size for start in starts for k in (0, 1)], dtype=np.intp)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from circext import (
     idft_direct,
     integrate,
 )
+from circext import kernels
 from circext.cepstral import _joint_derivatives, _real_hessian
 from circext.kernels import grid_basis, hermitian_toeplitz, moment_vector, trig_basis, trig_gram
 
@@ -193,6 +194,35 @@ class TestToeplitz:
             for l in range(5):
                 assert T[k, l] == (h[k - l] if k >= l else np.conj(h[l - k]))
         np.testing.assert_array_equal(T, T.conj().T)
+
+    @pytest.mark.parametrize("shape", [(3, 6), (2, 2, 5), (4, 1)])
+    def test_stacked_rows_match_the_loop_byte_for_byte(self, shape):
+        # signed zeros in both parts: conjugation flips the sign of a zero imaginary part
+        rng = make_rng([4, *shape])
+        h = random_values(rng, shape, True)
+        h.real[rng.random(shape) < 0.3] = -0.0
+        h.imag[rng.random(shape) < 0.3] = 0.0
+        h.imag[rng.random(shape) < 0.3] = -0.0
+        k = shape[-1]
+        loop = np.empty(shape + (k,), dtype=complex)
+        for index in np.ndindex(shape[:-1]):
+            for i in range(k):
+                for j in range(k):
+                    loop[index + (i, j)] = h[index + (i - j,)] if i >= j else np.conj(h[index + (j - i,)])
+        T = hermitian_toeplitz(h)
+        assert T.shape == loop.shape and T.dtype == loop.dtype and T.tobytes() == loop.tobytes()
+        assert hermitian_toeplitz(h.tolist()).tobytes() == loop.tobytes()
+
+    def test_results_are_fresh_and_the_index_tables_read_only(self):
+        h = np.array([2.0, 0.5 - 0.25j, 0.125j])
+        T = hermitian_toeplitz(h)
+        expected = T.tobytes()
+        tables = kernels._toeplitz_index(3)
+        assert kernels._toeplitz_index(3) is tables
+        assert not any(part.flags.writeable for part in tables)
+        assert T.flags.writeable and not any(np.shares_memory(T, part) for part in tables)
+        T[...] = np.nan
+        assert hermitian_toeplitz(h).tobytes() == expected
 
 
 class TestMomentBuiltHessians:

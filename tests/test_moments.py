@@ -28,6 +28,7 @@ from circext import (
     toeplitz_positive,
 )
 from circext import approx, moments
+from circext.kernels import coeffs_to_real, grid_basis, hermitian_toeplitz
 from circext.moments import CERT_TOL, UNCHECKED_MESSAGE
 
 from conftest import (
@@ -580,6 +581,53 @@ class TestCrashBasis:
                 starts = moments._crash_basis(CovarianceSequence(c).c, N).reshape(n, 2)
                 assert ((starts[:, 1] - starts[:, 0]) % (2 * N) == 1).all(), (n, N)
                 assert np.unique(starts).size == 2 * n, (n, N)
+
+    @staticmethod
+    def numpy_crash_basis(lags, N):
+        """The all-array placement of the pairs, kept as an oracle: (pairs, dips of |V|^2)."""
+        n, size = lags.size - 1, 2 * N
+        eigs, vecs = np.linalg.eigh(hermitian_toeplitz(np.concatenate(([0.0], lags[1:]))))
+        space = vecs[:, eigs <= eigs[0] + 1e-9 * np.abs(eigs).max()]
+        v = space @ space[0].conj()
+        power = coeffs_to_real(np.correlate(v, v, "full")[n:]) @ grid_basis(size, n)
+        below, above = np.roll(power, 1), np.roll(power, -1)
+        dips = np.flatnonzero((power <= below) & (power < above))
+        dips = dips[np.argsort(power[dips])[:n]]
+        starts = np.concatenate((dips - (below[dips] < above[dips]), np.arange(n - dips.size) * size // n))
+        starts, steps = np.sort(starts % size), 2 * np.arange(n)
+        starts = np.maximum.accumulate(starts - steps) + steps
+        starts = np.minimum(starts, starts[:1] + size - 2 * n + steps) % size
+        return np.stack((starts, (starts + 1) % size), axis=1).reshape(-1), dips
+
+    def test_pairs_match_the_array_placement(self):
+        # line lags at the angle of storage position 0 or 2N-1 put a dip of |V|^2 on
+        # that node, so its pair can wrap round from 2N-1 to 0; white lags have no dip
+        rng = make_rng(278)
+        draws = few_dips = wrapped = 0
+        for n in range(9):
+            for N in sorted({n + 1, n + 2, 2 * n + 1, 64, 1024, 4096}):
+                cases = [("edge", pos) for pos in (0, 2 * N - 1)]
+                cases += [(kind, None) for kind in ("line", "real", "complex", "white") for _ in range(10)]
+                for kind, pos in cases:
+                    if kind == "edge":
+                        c = 0.95 * np.exp(1j * np.pi * (pos - N + 1) / N * np.arange(n + 1))
+                        c[0] = 1.0
+                    elif kind == "line":
+                        c = line_lags(rng, n)
+                    elif kind == "white":
+                        c = np.concatenate(([rng.uniform(0.5, 2.0)], 1e-17 * random_hermitian_tail(rng, n)))
+                    else:
+                        c = arma_lags(rng, n, N, kind == "real")
+                    lags = CovarianceSequence(c).c
+                    expected, dips = self.numpy_crash_basis(lags, N)
+                    pairs = moments._crash_basis(lags, N)
+                    assert pairs.dtype == expected.dtype and np.array_equal(pairs, expected), (kind, n, N)
+                    if kind == "edge" and n > 0:
+                        assert pos in dips, (n, N, pos)
+                    draws += 1
+                    few_dips += dips.size < n
+                    wrapped += bool((pairs.reshape(-1, 2)[:, 0] == 2 * N - 1).any())
+        assert draws >= 2000 and few_dips >= 100 and wrapped >= 100, (draws, few_dips, wrapped)
 
 
 class TestDegenerateLags:
