@@ -18,6 +18,7 @@ from circext import (
     SpectrumSamples,
     SymmetricPseudoPolynomial,
     covariance_moments,
+    toeplitz_matrix,
 )
 
 
@@ -40,6 +41,23 @@ def assert_vertex(dual, N):
     values = symbol_values(dual.coeffs, N)
     assert values.min() >= -1e-12
     assert np.count_nonzero(np.abs(values) <= 1e-9 * values.max()) >= 2 * dual.degree
+
+
+def assert_margin_sandwich(c, margin, N):
+    """A certificate's margin on the 2N-grid against lambda_min of T_n(c), the N = infinity margin.
+
+    A grid measure is a measure on the circle, so margin <= lambda_min.  With
+    k = n^2 pi^2 / 8N^2 and k(n+1) < 1, a degree-n Q with q_0 = 1 that is >= 0
+    at the nodes dips at most kappa = k(n+1) / (1 - k(n+1)) below zero between
+    them (Bernstein's inequality), so the margin, the least such <C,Q>, is at
+    least lambda_min - kappa (c_0 - lambda_min).  Both sides allow 1e-12 c_0.
+    """
+    c0, lam = c.c[0].real, float(np.linalg.eigvalsh(toeplitz_matrix(c))[0])
+    assert margin <= lam + 1e-12 * c0, (margin, lam)
+    spill = (c.n * np.pi / N) ** 2 / 8.0 * (c.n + 1)    # k(n+1)
+    if spill < 1.0:
+        kappa = spill / (1.0 - spill)
+        assert margin >= lam - kappa * (c0 - lam) - 1e-12 * c0, (margin, lam, kappa)
 
 
 def random_hermitian_tail(rng, n, scale=1.0):

@@ -32,7 +32,7 @@ from circext.kernels import coeffs_to_real, grid_basis, hermitian_toeplitz
 from circext.moments import CERT_TOL, UNCHECKED_MESSAGE
 
 from conftest import (
-    arma_lags, assert_vertex, line_lags, make_rng, model_lags, random_feasible_covariances,
+    arma_lags, assert_margin_sandwich, assert_vertex, line_lags, make_rng, model_lags, random_feasible_covariances,
     random_hermitian_tail, symbol_values,
 )
 
@@ -364,6 +364,7 @@ class TestDualCertificate:
         assert cert.min_dual >= -1e-9
         assert cert.duality_gap <= tol
         assert type(cert.feasible) is bool and type(cert.margin) is float    # JSON-ready
+        assert_margin_sandwich(seq, cert.margin, N)
 
         # the same proof, recomputed here: Q >= 0 with q_0 = 1 bounds every
         # margin by <C,Q>, and <C,Q> equals the returned margin
@@ -406,6 +407,7 @@ class TestDualCertificate:
         assert cert.feasible
         assert cert.lag_residual <= 1e-12 * c.c[0].real
         assert cert.margin == pytest.approx(equality_form_margin(c.c, 1024), abs=1e-9)
+        assert_margin_sandwich(c, cert.margin, 1024)
 
     def test_real_lags_with_rounding_noise(self):
         # imaginary parts at rounding level leave 7 of 14 rows degenerate;
@@ -423,6 +425,7 @@ class TestDualCertificate:
         cert = feasibility_certificate(c, DiscreteGrid(1024))
         assert cert.feasible and cert.pivots < 1000
         assert cert.lag_residual <= 1e-12 * c.c[0].real
+        assert_margin_sandwich(c, cert.margin, 1024)
 
     def test_ill_conditioned_bases_fall_back_to_solves(self):
         # degree-8 real lags at N = 4096 whose pivots pass through
@@ -443,6 +446,7 @@ class TestDualCertificate:
         # tight to rounding, not only to the residual check's tolerance
         assert cert.margin == pytest.approx(0.005818169095391568, abs=1e-12 * c.c[0].real)
         assert cert.min_dual >= -1e-12
+        assert_margin_sandwich(c, cert.margin, 4096)
 
     def test_residual_failure_raises(self, monkeypatch):
         import circext.moments
@@ -514,6 +518,7 @@ class TestGridDoublingProperty:
         for M, cert in ((N, coarse), (2 * N, fine)):
             assert inner_product(seq, cert.dual) == pytest.approx(cert.margin, abs=tol)
             assert symbol_values(cert.dual.coeffs, M).min() >= -CERT_TOL
+            assert_margin_sandwich(seq, cert.margin, M)
         assert fine.margin >= coarse.margin - tol
         assert fine.feasible or not coarse.feasible
 
@@ -527,8 +532,10 @@ class TestGridDoublingProperty:
             1.0, 2.77555756e-17, -2.77555756e-17, 4.85722573e-17 - 4.16333634e-17j,
             -3.46944695e-17, 4.85722573e-17, -4.85722573e-17,
         ])
-        assert feasibility_certificate(c, DiscreteGrid(76)).feasible
-        assert feasibility_certificate(c, DiscreteGrid(152)).feasible
+        for N in (76, 152):
+            cert = feasibility_certificate(c, DiscreteGrid(N))
+            assert cert.feasible
+            assert_margin_sandwich(c, cert.margin, N)
 
 
 class TestCrashBasis:
@@ -640,6 +647,7 @@ class TestDegenerateLags:
             cert = feasibility_certificate(c, DiscreteGrid(N))
             assert cert.feasible and cert.margin == 2.5 and cert.pivots == 0
             np.testing.assert_array_equal(cert.witness.values, 2.5)
+            assert_margin_sandwich(c, cert.margin, N)
 
     def test_rounding_level_lags_are_all_certified(self):
         # 600 draws of white noise plus lags of size 1e-17; a phase one from
@@ -649,8 +657,10 @@ class TestDegenerateLags:
             n = int(rng.integers(1, 9))
             N = int(rng.integers(n + 1, 260))
             c = np.concatenate(([1.0], 1e-17 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))))
-            cert = feasibility_certificate(CovarianceSequence(c), DiscreteGrid(N))
+            seq = CovarianceSequence(c)
+            cert = feasibility_certificate(seq, DiscreteGrid(N))
             assert cert.feasible and cert.margin == pytest.approx(1.0, abs=1e-12), (n, N)
+            assert_margin_sandwich(seq, cert.margin, N)
 
 
 class TestPolygonOracle:

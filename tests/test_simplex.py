@@ -1,4 +1,4 @@
-"""Revised two-phase simplex and its dual multipliers against an independent LP solver."""
+"""The library's pivot loop, run by the two-phase test driver and by the certificate, against an independent LP solver."""
 
 import hashlib
 import json
@@ -9,19 +9,10 @@ import pytest
 from scipy.optimize import linprog
 
 from circext import CovarianceSequence, DiscreteGrid, feasibility_certificate, moments, simplex
-from circext.simplex import (
-    PIVOT_BUDGET_MESSAGE,
-    PIVOT_TOL,
-    PRICE_TOL,
-    RATIO_TOL,
-    InfeasibleError,
-    UnboundedError,
-    _pivot_until_optimal,
-    _simplex,
-    simplex_maximize,
-)
+from circext.simplex import PIVOT_BUDGET_MESSAGE, PIVOT_TOL, PRICE_TOL, RATIO_TOL, _pivot_until_optimal
 
-from conftest import arma_lags, line_lags, make_rng, rewrite_record
+from conftest import arma_lags, assert_margin_sandwich, line_lags, make_rng, rewrite_record
+from lp_driver import InfeasibleError, UnboundedError, _simplex, simplex_maximize
 
 
 def linprog_maximize(obj, A, b):
@@ -353,8 +344,13 @@ def digest(array):
 
 
 def certificate_entry(c, N):
-    """Pivots, verdict, margin and the digests of the witness and dual bytes of one certificate."""
-    cert = feasibility_certificate(CovarianceSequence(c), DiscreteGrid(N))
+    """Pivots, verdict, margin and the digests of the witness and dual bytes of one certificate.
+
+    The margin must also lie in the N -> infinity sandwich around lambda_min of T_n(c).
+    """
+    seq = CovarianceSequence(c)
+    cert = feasibility_certificate(seq, DiscreteGrid(N))
+    assert_margin_sandwich(seq, cert.margin, N)
     return {
         "pivots": cert.pivots,
         "feasible": cert.feasible,
