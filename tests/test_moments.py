@@ -361,7 +361,7 @@ class TestDualCertificate:
         cert = feasibility_certificate(seq, DiscreteGrid(N))
         tol = 1e-9 * seq.c[0].real
         assert cert.lag_residual <= tol
-        assert cert.min_dual >= -1e-9
+        assert cert.min_dual >= -1e-12    # every reduced cost at most 1e-12 at the optimum
         assert cert.duality_gap <= tol
         assert type(cert.feasible) is bool and type(cert.margin) is float    # JSON-ready
         assert_margin_sandwich(seq, cert.margin, N)
@@ -518,6 +518,7 @@ class TestGridDoublingProperty:
         for M, cert in ((N, coarse), (2 * N, fine)):
             assert inner_product(seq, cert.dual) == pytest.approx(cert.margin, abs=tol)
             assert symbol_values(cert.dual.coeffs, M).min() >= -CERT_TOL
+            assert cert.min_dual >= -1e-12    # every reduced cost at most 1e-12 at the optimum
             assert_margin_sandwich(seq, cert.margin, M)
         assert fine.margin >= coarse.margin - tol
         assert fine.feasible or not coarse.feasible

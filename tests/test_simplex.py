@@ -1,4 +1,4 @@
-"""The library's pivot loop, run by the two-phase test driver and by the certificate, against an independent LP solver."""
+"""The two-phase test driver and the certificate's dual simplex loop, against independent LP solvers."""
 
 import hashlib
 import json
@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from circext import CovarianceSequence, DiscreteGrid, feasibility_certificate, moments, simplex
-from circext.simplex import PIVOT_BUDGET_MESSAGE, PIVOT_TOL, PRICE_TOL, RATIO_TOL, _pivot_until_optimal
+from circext import CovarianceSequence, DiscreteGrid, feasibility_certificate, moments
+from circext.kernels import coeffs_to_real, grid_basis
+from circext.simplex import PIVOT_BUDGET_MESSAGE, _pivot_until_optimal
 
 from conftest import arma_lags, assert_margin_sandwich, line_lags, make_rng, rewrite_record
-from lp_driver import InfeasibleError, UnboundedError, _simplex, simplex_maximize
+from lp_driver import InfeasibleError, UnboundedError, _simplex, simplex_maximize, three_solve_pivot_until_optimal
 
 
 def linprog_maximize(obj, A, b):
@@ -139,7 +140,7 @@ class TestCycling:
         # the cycling start itself: the degenerate stall hands pricing to Bland
         basis = np.array([0, 1, 2])
         A, b, obj = np.array(BEALE_A), np.array(BEALE_B), np.array(BEALE_OBJ)
-        xb, y, pivots = _pivot_until_optimal(A, b, obj, basis, 50)
+        xb, y, pivots = three_solve_pivot_until_optimal(A, b, obj, basis, 50)
         assert obj[basis] @ xb == pytest.approx(0.05, abs=1e-12)
         assert b @ y == pytest.approx(0.05, abs=1e-12)
         assert pivots < 50
@@ -210,55 +211,16 @@ class TestDualMultipliers:
             simplex_maximize([1.0, 0.0], [[1.0, 1.0]], [np.nan])
 
 
-def three_solve_pivot_until_optimal(A, b, cost, basis, max_pivots):
-    """Reference pivot loop that solves three systems with the basis matrix at every pivot.
-
-    This is the loop the maintained basis inverse replaced, with the same
-    dual steps, pricing, ratio tests and tie rules; it keeps no inverse
-    between pivots.
-    """
-    stalled, floor = 0, -1e-13 * max(1.0, np.abs(b).max(initial=0.0))
-    for pivots in range(max_pivots + 1):
-        B = A[:, basis]
-        xb = np.linalg.solve(B, b)
-        y = np.linalg.solve(B.T, cost[basis])
-        reduced = cost - y @ A
-        reduced[basis] = 0.0
-        short = np.flatnonzero(xb < floor)
-        if short.size and stalled <= 2 * basis.size:
-            leaving = short[np.argmin(basis[short])] if stalled > basis.size else np.argmin(xb)
-            alpha = np.linalg.solve(B.T, np.eye(basis.size)[leaving]) @ A
-            alpha[basis] = 0.0
-            cols = np.flatnonzero(alpha < -PIVOT_TOL)
-            if cols.size:
-                if pivots == max_pivots:
-                    break
-                ratios = np.minimum(reduced[cols], 0.0) / alpha[cols]
-                ties = cols[(ratios - ratios.min()) * -alpha[cols] <= RATIO_TOL]
-                stalled = stalled + 1 if ratios.min() * -xb[leaving] <= RATIO_TOL else 0
-                basis[leaving] = ties[0] if stalled > basis.size else cols[np.argmin(ratios)]
-                continue
-        entering = int(np.argmax(reduced > PRICE_TOL if stalled > basis.size else reduced))
-        if reduced[entering] <= PRICE_TOL:
-            return xb, y, pivots
-        if pivots == max_pivots:
-            break
-        d = np.linalg.solve(B, A[:, entering])
-        rows = np.flatnonzero(d > PIVOT_TOL)
-        if rows.size == 0:
-            return None
-        ratios = np.maximum(xb[rows], 0.0) / d[rows]
-        ties = rows[(ratios - ratios.min()) * d[rows] <= RATIO_TOL]
-        stalled = stalled + 1 if ratios.min() <= RATIO_TOL else 0
-        basis[ties[np.argmin(basis[ties])]] = entering
-    raise RuntimeError(PIVOT_BUDGET_MESSAGE)
-
-
 # (kind, degree, N) of the certificate LPs; one seed per case
 CERTIFICATE_CASES = [
     (kind, n, N) for N in (8, 64, 1024) for n in (1, 3, 5, 8) if n < N
     for kind in ("line", "real", "complex")
 ] + [("real", 7, 165)]    # the rare branches' case below
+# every degree up to 8 at grid sizes between those, for the updated inverse's test
+INVERSE_CASES = CERTIFICATE_CASES + [
+    (kind, n, N) for N in (16, 32, 128, 256, 512) for n in range(1, 9)
+    for kind in ("line", "real", "complex")
+]
 
 
 def certificate_lags(kind, n, N):
@@ -280,22 +242,11 @@ class TestBasisInverse:
         assert cert.margin == pytest.approx(ref.margin, abs=1e-12 * scale)
         assert cert.duality_gap <= 1e-12 * scale and cert.min_dual >= -1e-12
 
-    def test_random_lps_match_the_three_solve_loop(self, monkeypatch):
-        problems = list(random_bounded_lps())
-        results = [_simplex(*lp) for lp in problems]
-        monkeypatch.setattr(simplex, "_pivot_until_optimal", three_solve_pivot_until_optimal)
-        for (obj, A, b), (x, value, y, _) in zip(problems, results):
-            ref_value = _simplex(obj, A, b)[1]
-            scale = max(1.0, abs(ref_value))
-            assert value == pytest.approx(ref_value, abs=1e-12 * scale)
-            assert b @ y == pytest.approx(value, abs=1e-12 * scale)
-            assert (y @ A - obj).min() >= -1e-12 * scale
-
     def test_updated_inverse_matches_a_fresh_one(self, monkeypatch):
         # the loop updates each np.linalg.inv result in place until the next
         # refresh, so the last one recorded in a phase has seen its final pivots
         refreshed = []    # (the array the loop updates, its value when computed)
-        inv, pivot = np.linalg.inv, simplex._pivot_until_optimal
+        inv, pivot = np.linalg.inv, moments._pivot_until_optimal
         updates = []
 
         def recording_inv(B):
@@ -314,14 +265,12 @@ class TestBasisInverse:
             return result
 
         monkeypatch.setattr(np.linalg, "inv", recording_inv)
-        monkeypatch.setattr(simplex, "_pivot_until_optimal", checked_pivot)
         monkeypatch.setattr(moments, "_pivot_until_optimal", checked_pivot)
-        for kind, n, N in CERTIFICATE_CASES:
+        for kind, n, N in INVERSE_CASES:
             feasibility_certificate(certificate_lags(kind, n, N), DiscreteGrid(N))
-        for lp in random_bounded_lps():
-            _simplex(*lp)
         # phases that end on a refresh compare a fresh inverse with itself;
-        # on average at least one phase per certificate ends after updates
+        # most certificates take 0 to 2 pivots, so it takes more of them than
+        # CERTIFICATE_CASES to see as many phases end after updates
         assert sum(k > 0 for k in updates) >= len(CERTIFICATE_CASES)
 
 
@@ -401,12 +350,29 @@ class TestLPRecord:
     def test_record_covers_both_rare_branches(self, monkeypatch):
         assert {"%s n=%d N=%d" % case for case in (BLAND_CASE, THREE_SOLVE_CASE)} <= set(self.RUNS)
         # the updated-inverse path solves with B twice to close; the
-        # three-solve path solves three or four times at every pivot
+        # three-solve path solves three times at every pivot
         solves, solve = [], np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(1) or solve(*args))
         kind, n, N = THREE_SOLVE_CASE
         feasibility_certificate(certificate_lags(kind, n, N), DiscreteGrid(N))
         assert len(solves) > 4 + 2 * n
+
+    def test_pivot_budget_of_the_dual_loop(self):
+        # the record's line n=5 N=64 certificate takes 6 dual steps from its
+        # crash basis: a budget of 5 stops it, and 6 gives the margin on record
+        c, size = certificate_lags("line", 5, 64).c, 128
+        rows, b, cost = 0.5 * grid_basis(size, 5)[1:], coeffs_to_real(c)[1:], -np.ones(size)
+        with pytest.raises(RuntimeError) as info:
+            _pivot_until_optimal(rows, b, cost, moments._crash_basis(c, 64), 5)
+        assert str(info.value) == PIVOT_BUDGET_MESSAGE
+        basis = moments._crash_basis(c, 64)
+        xb, _, pivots = _pivot_until_optimal(rows, b, cost, basis, 6)
+        u = np.zeros(size)
+        u[basis] = np.maximum(xb, 0.0)
+        with open(LP_RECORD, encoding="utf-8") as fh:
+            expected = json.load(fh)["line n=5 N=64"]
+        assert pivots == expected["pivots"] == 6
+        assert repr(float(c[0].real - u.sum())) == expected["margin"]
 
 
 if __name__ == "__main__":
