@@ -22,7 +22,7 @@ import numpy as np
 from .circulant import SymmetricPseudoPolynomial, constant_symbol, eval_symbol
 from .dual import DualProblem, SolverOptions, newton_solve
 from .grid import DiscreteGrid, refuse_nodes
-from .moments import CovarianceSequence, feasibility_certificate, toeplitz_positive
+from .moments import CovarianceSequence, _certify, _pisarenko_power, toeplitz_positive
 
 DEFAULT_N_MAX = 4096
 DEFAULT_REFERENCE_N = 4096
@@ -45,8 +45,8 @@ class ThresholdNotFound(RuntimeError):
         self.n_max = n_max
 
 
-def _is_feasible(c: CovarianceSequence, N: int) -> bool:
-    return feasibility_certificate(c, DiscreteGrid(N)).feasible
+def _is_feasible(c: CovarianceSequence, N: int, power: np.ndarray) -> bool:
+    return _certify(c, DiscreteGrid(N), power).feasible
 
 
 def find_threshold(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> int:
@@ -55,7 +55,8 @@ def find_threshold(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> int:
     Returns an N with c feasible on DiscreteGrid(N) and infeasible on
     DiscreteGrid(N-1), or N = n+1 (the coarsest grid accommodating the lags)
     when that is already feasible.  Raises NotInOuterCone when no threshold
-    exists and ThresholdNotFound when it exceeds n_max.
+    exists and ThresholdNotFound when it exceeds n_max.  The probes share the
+    O(n^3) Pisarenko power of their crash bases, computed once per search.
     """
     positive, min_eig = toeplitz_positive(c)
     if not positive:
@@ -68,7 +69,8 @@ def find_threshold(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> int:
         raise ThresholdNotFound(
             f"the coarsest grid for degree {c.n} already exceeds N_max={n_max}", n_max
         )
-    if _is_feasible(c, lo):
+    power = _pisarenko_power(c.c)
+    if _is_feasible(c, lo, power):
         return lo
     # doubling probe clamped at n_max, so a feasible N under the cap is not
     # skipped over by the last doubling step
@@ -79,12 +81,12 @@ def find_threshold(c: CovarianceSequence, n_max: int = DEFAULT_N_MAX) -> int:
                 f"no feasible grid with N <= {n_max} (last tried N={hi})", n_max
             )
         lo, hi = hi, min(2 * hi, n_max)
-        if _is_feasible(c, hi):
+        if _is_feasible(c, hi, power):
             break
     # invariant: lo infeasible, hi feasible; shrink to an adjacent pair
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _is_feasible(c, mid):
+        if _is_feasible(c, mid, power):
             hi = mid
         else:
             lo = mid
@@ -139,9 +141,9 @@ def convergence_sweep(
 ) -> SweepReport:
     """Solve on each grid size and measure distance to a fine-grid reference.
 
-    The numerator defaults to one.  Each stage first runs the feasibility
-    certificate; infeasible or failing stages are recorded and skipped rather
-    than aborting the sweep.  Distances are sup norms over the complex
+    The numerator defaults to one.  Each stage first runs the feasibility certificate,
+    all of them on one Pisarenko power; infeasible or failing stages are recorded and
+    skipped rather than aborting the sweep.  Distances are sup norms over the complex
     denominator coefficients.  The eventually_decreasing flag certifies that
     the distances of the last (up to four) successful stages are nonincreasing.
     """
@@ -156,11 +158,12 @@ def convergence_sweep(
     ref_grid = DiscreteGrid(reference_N)
     ref = newton_solve(DualProblem(ref_grid, c, p), opts)
     report = SweepReport(reference_N=reference_N, reference_q=ref.q)
+    power = _pisarenko_power(c.c)
 
     for N in grid_sizes:
         grid = DiscreteGrid(N)
         started = time.perf_counter()
-        stage = SweepStage(N=N, feasible=feasibility_certificate(c, grid).feasible)
+        stage = SweepStage(N=N, feasible=_certify(c, grid, power).feasible)
         report.stages.append(stage)
         if not stage.feasible:
             continue
@@ -176,10 +179,6 @@ def convergence_sweep(
     # distances that sit at the floating-point floor count as ties, so a
     # fully converged tail is not flagged non-monotone on rounding jitter
     floor = MONOTONE_FLOOR * max(1.0, float(np.max(np.abs(ref.q.coeffs))))
-    tail = [
-        max(s.distance, floor) for s in report.stages if s.distance is not None
-    ][-4:]
-    report.eventually_decreasing = len(tail) >= 2 and all(
-        b <= a for a, b in zip(tail, tail[1:])
-    )
+    tail = [max(s.distance, floor) for s in report.stages if s.distance is not None][-4:]
+    report.eventually_decreasing = len(tail) >= 2 and all(b <= a for a, b in zip(tail, tail[1:]))
     return report

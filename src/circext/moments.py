@@ -108,24 +108,31 @@ def inner_product(c: CovarianceSequence, p: SymmetricPseudoPolynomial) -> float:
     return pairing(c.c[: n + 1], p.coeffs[: n + 1])
 
 
-def _crash_basis(lags: np.ndarray, N: int) -> np.ndarray:
-    """n disjoint pairs of adjacent nodes (m, m+1) at the zeros of the min-norm polynomial.
+def _pisarenko_power(lags: np.ndarray) -> np.ndarray:
+    """Real coefficients of |V|^2, V(z) = sum v_k z^k: O(n^3) once per sequence, for every grid.
 
-    The 2n columns of such pairs form a basis of the certificate LP whose dual
-    Q is prod_i (cos(pi/2N) - cos(theta - phi_i)) / q_0, phi_i the midpoint of
-    pair i: >= 0 at every node and zero at the pairs, so dual feasible.  v is e_0
-    projected on the eigenvectors of T(0, c_1 ... c_n) whose eigenvalues lie within
+    v is e_0 projected on the eigenvectors of T(0, c_1 ... c_n) whose eigenvalues lie within
     1e-9 max|eig| of the smallest: Pisarenko's vector when that one is simple.
-    Each of the n deepest dips of |V|^2, V(z) = sum v_k z^k sampled at the nodes
-    through the trig basis, takes the dip node and its lower neighbour; a pair
-    that overlaps an earlier one moves on to the next free pair, and pairs for
-    dips |V| lacks are spread evenly.  O(n^3 + nN) work, no root finder.
     """
-    n, size = lags.size - 1, 2 * N
     eigs, vecs = np.linalg.eigh(hermitian_toeplitz(np.concatenate(([0.0], lags[1:]))))
     space = vecs[:, eigs <= eigs[0] + 1e-9 * np.abs(eigs).max()]
     v = space @ space[0].conj()
-    power = coeffs_to_real(np.correlate(v, v, "full")[n:]) @ grid_basis(size, n)    # |V|^2 at the nodes
+    return coeffs_to_real(np.correlate(v, v, "full")[v.size - 1 :])
+
+
+def _crash_basis(power: np.ndarray, N: int) -> np.ndarray:
+    """n disjoint pairs of adjacent nodes (m, m+1) at the dips of |V|^2, given its _pisarenko_power.
+
+    The 2n columns of such pairs form a basis of the certificate LP whose dual
+    Q is prod_i (cos(pi/2N) - cos(theta - phi_i)) / q_0, phi_i the midpoint of
+    pair i: >= 0 at every node and zero at the pairs, so dual feasible.  Each of
+    the n deepest dips of |V|^2, sampled at the nodes through the trig basis,
+    takes the dip node and its lower neighbour; a pair that overlaps an earlier
+    one moves on to the next free pair, and pairs for dips |V| lacks are spread
+    evenly.  O(nN) work per grid, no root finder.
+    """
+    n, size = power.size // 2, 2 * N
+    power = power @ grid_basis(size, n)    # |V|^2 at the nodes
     below, above = np.concatenate((power[-1:], power[:-1])), np.concatenate((power[1:], power[:1]))
     dips = np.flatnonzero((power <= below) & (power < above))
     dips = dips[np.argsort(power[dips])[:n]]
@@ -166,29 +173,36 @@ def feasibility_certificate(c: CovarianceSequence, grid: DiscreteGrid) -> Feasib
     t* > 0; t* = 0 is reported infeasible.  RuntimeError is raised when the
     lag residual or duality gap exceeds CERT_TOL * max|c_k| or min Q < -CERT_TOL.
     """
+    return _certify(c, grid, None)
+
+
+def _certify(c: CovarianceSequence, grid: DiscreteGrid, power: np.ndarray | None) -> FeasibilityCertificate:
+    """feasibility_certificate given c's _pisarenko_power, or None to compute it after the checks."""
     n = c.n
     if n >= grid.N:
         raise ValueError(f"need n < N, got n={n}, N={grid.N}")
     if not np.isfinite(c.c).all():
         raise ValueError(f"the lags must be finite, got {c.c!r}")
-    rows, b, basis = 0.5 * grid_basis(grid.size, n)[1:], coeffs_to_real(c.c)[1:], _crash_basis(c.c, grid.N)
+    basis = _crash_basis(_pisarenko_power(c.c) if power is None else power, grid.N)
+    rows, b = 0.5 * grid_basis(grid.size, n)[1:], coeffs_to_real(c.c)[1:]
     xb, y, pivots = _pivot_until_optimal(rows, b, -np.ones(grid.size), basis, PIVOT_BUDGET)
     u = np.zeros(grid.size)
     u[basis] = np.maximum(xb, 0.0)    # a negative basic value is a rounded zero
     margin = float(c.c[0].real - u.sum())
     nodes = margin + grid.size * u
-    dual = SymmetricPseudoPolynomial(real_to_coeffs(np.concatenate(([1.0], 0.5 * y))))
+    coeffs = real_to_coeffs(np.concatenate(([1.0], 0.5 * y)))    # of Q = 1 + y . rows
     lag_residual = float(np.abs(moment_vector(grid.angles, nodes, n) - c.c).max())
     min_dual = float((1.0 + y @ rows).min())
-    duality_gap = abs(pairing(c.c, dual.coeffs) - margin)
+    duality_gap = abs(pairing(c.c, coeffs) - margin)
     tol = CERT_TOL * c.sup_norm()
     if not (lag_residual <= tol and duality_gap <= tol and min_dual >= -CERT_TOL):
         raise RuntimeError(
             f"{UNCHECKED_MESSAGE}: lag residual {lag_residual:.3e}, min Q {min_dual:.3e}, "
             f"duality gap {duality_gap:.3e} against tolerance {tol:.3e}"
         )
+    # the checks passed, so y is finite and q_0 = 1 is real: nothing for the constructor to refuse
+    dual = SymmetricPseudoPolynomial.__new__(SymmetricPseudoPolynomial)
+    dual.coeffs = coeffs
     feasible = bool(margin > FEASIBLE_TOL * max(1.0, c.c[0].real))
     witness = SpectrumSamples(grid, nodes) if feasible else None
-    return FeasibilityCertificate(
-        feasible, witness, margin, dual, pivots, lag_residual, min_dual, duality_gap
-    )
+    return FeasibilityCertificate(feasible, witness, margin, dual, pivots, lag_residual, min_dual, duality_gap)

@@ -20,6 +20,7 @@ from circext import approx
 from circext import fileio as fio
 from circext.cli import main
 
+from conftest import line_lags, make_rng
 from test_moments import ordinary_maxent_q
 
 AWKWARD = CovarianceSequence([1.0, 0.0, -0.95])
@@ -57,6 +58,29 @@ class TestThreshold:
         c = CovarianceSequence([1.0, 0.0, 0.0, 0.0])
         with pytest.raises(ThresholdNotFound):
             find_threshold(c, n_max=3)
+
+
+class TestPisarenkoOnce:
+    """A threshold search or a sweep computes the grid-independent Pisarenko power once."""
+
+    @pytest.fixture
+    def eighs(self, monkeypatch):
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda *args, **kwargs: calls.append(args) or eigh(*args, **kwargs))
+        return calls
+
+    def test_one_eigh_per_threshold_search(self, eighs, monkeypatch):
+        probes, probe = [], approx._is_feasible
+        monkeypatch.setattr(approx, "_is_feasible", lambda c, N, power: probes.append(N) or probe(c, N, power))
+        c = CovarianceSequence(line_lags(make_rng([0]), 3))
+        assert find_threshold(c, n_max=512) == 13
+        assert len(probes) >= 5 and len(eighs) == 1
+
+    def test_one_eigh_per_sweep(self, eighs):
+        c = CovarianceSequence(line_lags(make_rng([0]), 3))
+        report = convergence_sweep(c, [8, 12, 13, 16, 32], reference_N=128)
+        assert [s.feasible for s in report.stages] == [False, False, True, True, True]
+        assert len(eighs) == 1
 
 
 class TestSchedule:

@@ -517,7 +517,7 @@ class TestApprox:
             raise AssertionError("the threshold search ran before the schedule was checked")
 
         monkeypatch.setattr(cli, "find_threshold", no_search)
-        monkeypatch.setattr(approx, "feasibility_certificate", no_search)
+        monkeypatch.setattr(approx, "_certify", no_search)
         config = write_problem(tmp_path, {"version": 1, "c": c, "grid_sizes": grid_sizes})
         out = tmp_path / "o"
         assert main(["approx", config, "--out", str(out)]) == 1

@@ -586,7 +586,8 @@ class TestCrashBasis:
                     c = np.eye(n + 1)[0]
                 else:
                     c = arma_lags(rng, n, N, kind == "real")
-                starts = moments._crash_basis(CovarianceSequence(c).c, N).reshape(n, 2)
+                lags = CovarianceSequence(c).c
+                starts = moments._crash_basis(moments._pisarenko_power(lags), N).reshape(n, 2)
                 assert ((starts[:, 1] - starts[:, 0]) % (2 * N) == 1).all(), (n, N)
                 assert np.unique(starts).size == 2 * n, (n, N)
 
@@ -628,7 +629,7 @@ class TestCrashBasis:
                         c = arma_lags(rng, n, N, kind == "real")
                     lags = CovarianceSequence(c).c
                     expected, dips = self.numpy_crash_basis(lags, N)
-                    pairs = moments._crash_basis(lags, N)
+                    pairs = moments._crash_basis(moments._pisarenko_power(lags), N)
                     assert pairs.dtype == expected.dtype and np.array_equal(pairs, expected), (kind, n, N)
                     if kind == "edge" and n > 0:
                         assert pos in dips, (n, N, pos)
@@ -697,7 +698,7 @@ class TestPolygonOracle:
         # bisection also meets infeasible midpoints after a feasible probe
         rng = np.random.default_rng(3)
         certify, verdicts = approx._is_feasible, []
-        monkeypatch.setattr(approx, "_is_feasible", lambda c, N: verdicts.append(certify(c, N)) or verdicts[-1])
+        monkeypatch.setattr(approx, "_is_feasible", lambda c, N, power: verdicts.append(certify(c, N, power)) or verdicts[-1])
         bisected_down = 0
         for _ in range(40):
             c1 = (1.0 - 10.0 ** rng.uniform(-3.0, -1.0)) * np.exp(2j * np.pi * rng.random())

@@ -258,7 +258,9 @@ class TestBasisInverse:
             start = len(refreshed)
             result = pivot(A, b, cost, basis, max_pivots)
             scale = basis.size * np.abs(A).max()
-            if all(scale * np.abs(fresh).max() <= 1e3 for _, fresh in refreshed[start:]):
+            # a start that is already optimal forms no inverse to compare
+            computed = refreshed[start:]
+            if computed and all(scale * np.abs(fresh).max() <= 1e3 for _, fresh in computed):
                 fresh = inv(A[:, basis])
                 assert np.abs(refreshed[-1][0] - fresh).max() <= 1e-10 * np.abs(fresh).max()
                 updates.append(result[2] % basis.size)
@@ -272,6 +274,28 @@ class TestBasisInverse:
         # most certificates take 0 to 2 pivots, so it takes more of them than
         # CERTIFICATE_CASES to see as many phases end after updates
         assert sum(k > 0 for k in updates) >= len(CERTIFICATE_CASES)
+
+    def test_an_optimal_crash_basis_forms_no_inverse(self, monkeypatch):
+        inverses, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda B: inverses.append(B) or inv(B))
+        optimal = 0
+        for kind, n, N in CERTIFICATE_CASES:
+            inverses.clear()
+            cert = feasibility_certificate(certificate_lags(kind, n, N), DiscreteGrid(N))
+            assert (cert.pivots == 0) == (not inverses), (kind, n, N)
+            optimal += cert.pivots == 0
+        assert optimal >= len(CERTIFICATE_CASES) // 2
+
+    @pytest.mark.parametrize("kind,n,N", CERTIFICATE_CASES)
+    def test_a_precomputed_power_gives_the_same_bits(self, kind, n, N):
+        # one power serves two grids, as in a threshold search
+        c = certificate_lags(kind, n, N)
+        power = moments._pisarenko_power(c.c)
+        for size in (N, N + 1):
+            cert, ref = moments._certify(c, DiscreteGrid(size), power), feasibility_certificate(c, DiscreteGrid(size))
+            assert (cert.margin, cert.pivots) == (ref.margin, ref.pivots)
+            assert cert.dual.coeffs.tobytes() == ref.dual.coeffs.tobytes()
+            assert (cert.witness and cert.witness.values.tobytes()) == (ref.witness and ref.witness.values.tobytes())
 
 
 # The degree-5 lags whose certificate at N = 1024 runs in every cycle of the
@@ -362,10 +386,11 @@ class TestLPRecord:
         # crash basis: a budget of 5 stops it, and 6 gives the margin on record
         c, size = certificate_lags("line", 5, 64).c, 128
         rows, b, cost = 0.5 * grid_basis(size, 5)[1:], coeffs_to_real(c)[1:], -np.ones(size)
+        power = moments._pisarenko_power(c)
         with pytest.raises(RuntimeError) as info:
-            _pivot_until_optimal(rows, b, cost, moments._crash_basis(c, 64), 5)
+            _pivot_until_optimal(rows, b, cost, moments._crash_basis(power, 64), 5)
         assert str(info.value) == PIVOT_BUDGET_MESSAGE
-        basis = moments._crash_basis(c, 64)
+        basis = moments._crash_basis(power, 64)
         xb, _, pivots = _pivot_until_optimal(rows, b, cost, basis, 6)
         u = np.zeros(size)
         u[basis] = np.maximum(xb, 0.0)
