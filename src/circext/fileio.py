@@ -5,9 +5,12 @@ Numbers are serialized with 17 significant digits so every round trip is
 lossless, and the writer emits keys in insertion order with fixed layout.  A
 float array in JSON and a CSV table are each formatted in one %-format (%.17g,
 %d for integer columns), checked for finiteness once, before the file opens.
-Each file is rewritten in place and cut to length: a rerun's bytes equal a
-fresh run's, a refused write leaves an existing file as it was, and files that
-only an earlier, larger run wrote (extra realization_*.csv) are not removed.
+An ensemble is checked once before its first file opens, formatted through one
+template and read back in one parse; read_realization_csv judges a file off
+the written layout.  Each file is rewritten in place and cut to length: a
+rerun's bytes equal a fresh run's, a refused write leaves existing files as
+they were, and files that only an earlier, larger run wrote (extra
+realization_*.csv) are not removed.
 
 Conventions: covariance and cepstral sequences are lists of [re, im] pairs
 (bare numbers are accepted on input and read as real); symbols are flat real
@@ -379,21 +382,32 @@ def read_realization_csv(path: str, grid: DiscreteGrid) -> np.ndarray:
 
 def write_ensemble(out_dir: str, realizations: np.ndarray, grid, seed, model_hash, real_valued) -> list[str]:
     """Write one CSV per realization plus a manifest; returns the file names."""
-    names = [f"realization_{r:04d}.csv" for r in range(realizations.shape[0])]
-    for name, row in zip(names, realizations):
-        write_complex_csv(os.path.join(out_dir, name), "t,re,im", row)
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "ensemble",
-        "N": grid.N,
-        "count": int(realizations.shape[0]),
-        "seed": seed,
-        "real_valued": bool(real_valued),
-        "model_sha256": model_hash,
-        "files": names,
-    }
+    parts = _finite(np.ascontiguousarray(realizations, dtype=complex).view(float))    # re, im of (row, t)
+    names = [f"realization_{r:04d}.csv" for r in range(parts.shape[0])]
+    body = "t,re,im\n" + "".join(f"{t},%.17g,%.17g\n" for t in range(parts.shape[1] // 2))
+    for name, row in zip(names, parts):    # a tolist per row keeps one row's floats alive, not the ensemble's
+        _write_text(os.path.join(out_dir, name), body % tuple(row.tolist()))
+    manifest = dict(version=FORMAT_VERSION, kind="ensemble", N=grid.N, count=len(names), seed=seed,
+                    real_valued=bool(real_valued), model_sha256=model_hash, files=names)
     dump_json(manifest, os.path.join(out_dir, "manifest.json"))
     return names
+
+
+def _read_written(paths: list[str], size: int) -> np.ndarray:
+    """The (count, size) realizations in files laid out as written, from one parse; any other file raises."""
+    lines = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read().split("\n")
+        if len(text) != size + 2 or text[-1]:
+            raise ValueError(f"{path} is not a header and {size} lines")
+        lines += text[1:-1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)    # blank or comment lines give no rows, refused below
+        data = np.loadtxt(lines, delimiter=",", ndmin=2)
+    if data.shape != (len(lines), 3):    # else each line gave its own row, as in the per-file parse
+        raise ValueError("a line gave no row, or not three fields")
+    return np.ascontiguousarray(data[:, 1:]).view(complex).reshape(len(paths), size)
 
 
 def read_ensemble(dir_path: str) -> tuple[np.ndarray, DiscreteGrid, dict]:
@@ -406,10 +420,13 @@ def read_ensemble(dir_path: str) -> tuple[np.ndarray, DiscreteGrid, dict]:
     files = manifest["files"]
     if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
         raise InputFormatError(f'{manifest_path}: field "files" must be a list of file names')
-    rows = [read_realization_csv(os.path.join(dir_path, name), grid) for name in files]
-    if not rows:
+    if not files:
         raise InputFormatError(f"{dir_path}: ensemble holds no realizations")
-    return np.stack(rows), grid, manifest
+    paths = [os.path.join(dir_path, name) for name in files]
+    try:
+        return _read_written(paths, grid.size), grid, manifest
+    except (OSError, ValueError):    # a missing, undecodable or off-layout file: the per-file reader reads or names it
+        return np.stack([read_realization_csv(path, grid) for path in paths]), grid, manifest
 
 
 def run_record(

@@ -40,7 +40,10 @@ def _spectral_draws(phi: SpectrumSamples, count, seed, real_valued):
     grid, N = phi.grid, phi.grid.N
     vals = phi.real_values()
     refuse_nodes(grid, vals, ~np.isfinite(vals) | (vals < 0.0), "spectrum sample is negative or not finite")
-    scale = np.sqrt(grid.size * vals)
+    with np.errstate(over="ignore"):    # an overflow is refused before any draw
+        variance = grid.size * vals
+    refuse_nodes(grid, vals, ~np.isfinite(variance), f"spectrum sample times 2N={grid.size} is not finite")
+    scale = np.sqrt(variance)
     if real_valued and not is_hermitian_even(grid, vals, REAL_TOL):
         raise ValueError("a real-valued process needs an even spectrum")
     # a real draw runs Box-Muller on j = 0 ... N only; -j mirrors j, and j = 0 and j = N are real

@@ -853,6 +853,18 @@ class TestOutputDirectory:
         assert caught
         assert all(os.path.basename(w.filename) == "circulant.py" for w in caught)
 
+    @pytest.mark.parametrize("real", [False, True])
+    def test_draw_variance_overflow_refused_before_any_draw(self, tmp_path, capsys, real):
+        # P/Q = 1e308 is finite, but the draw variance 2N P/Q is not: the run once
+        # warned, made the directory and then refused to write a nan
+        model = write_problem(tmp_path, {"version": 1, "N": 4, "p": [1e308], "q": [1.0]})
+        out = tmp_path / "o"
+        argv = ["simulate", model, "--count", "2", "--seed", "1", "--out", str(out)]
+        assert main(argv + (["--real"] if real else [])) == 1
+        err = capsys.readouterr().err
+        assert err == "ValueError: spectrum sample times 2N=8 is not finite at node j=-3: 1e+308\n"
+        assert not out.exists()
+
     def test_rerun_over_a_larger_problem_equals_a_fresh_run(self, tmp_path):
         # outputs are rewritten in place and cut to length: no tail of the longer files is left
         larger = write_problem(tmp_path, {"version": 1, "N": 64, "c": [[1.0, 0.0], [0.5, 0.1], [0.2, 0.0]]},

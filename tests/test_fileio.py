@@ -659,7 +659,34 @@ class TestInPlaceRewrite:
         assert (tmp_path / "short.json").read_bytes() == (tmp_path / "whole.json").read_bytes()
 
 
+def ensemble_values(real):
+    """Three realizations of N = 4 holding the awkward values, and -0.0 in the imaginary parts."""
+    awkward = [-0.0, 5e-324, 1e300, -1e300, 1.0 / 3.0, 0.0, -2.5, 7.0]
+    re = np.array([awkward, awkward[::-1], np.roll(awkward, 3)])
+    if real:
+        return re
+    y = re.astype(complex)
+    y.imag = np.roll(re, 1, axis=1)    # re + 1j * im would turn an imaginary -0.0 into 0.0
+    return y
+
+
+def outcome(read):
+    """read()'s array as its bits, or its exception as type and message."""
+    try:
+        return read().view(np.int64).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def replace_line(text, index, line):
+    lines = text.split(b"\n")
+    lines[index] = line
+    return b"\n".join(lines)
+
+
 class TestEnsembleFiles:
+    """Ensemble files, and the one-pass writer and reader against the per-file ones."""
+
     def test_round_trip(self, tmp_path):
         grid = DiscreteGrid(4)
         rng = np.random.default_rng(37)
@@ -694,6 +721,114 @@ class TestEnsembleFiles:
         fio.dump_json(manifest, str(tmp_path / "manifest.json"))
         with pytest.raises(fio.InputFormatError, match=f'"{field}"|{field} must'):
             fio.read_ensemble(str(tmp_path))
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_bytes_equal_the_per_row_writer(self, tmp_path, real):
+        y = ensemble_values(real)
+        names = fio.write_ensemble(str(tmp_path), y, DiscreteGrid(4), 1, "f" * 64, real)
+        for name, row in zip(names, y):
+            assert (tmp_path / name).read_text() == written(fio.write_complex_csv, "t,re,im", row)
+        # -0 keeps its sign, and a real ensemble's imaginary column is 0
+        assert (tmp_path / names[0]).read_text().startswith("t,re,im\n0,-0,0\n" if real else "t,re,im\n0,-0,7\n")
+
+    @PROPERTY
+    @given(st.integers(1, 4), st.integers(1, 3), st.data())
+    def test_bytes_equal_the_per_row_writer_for_any_values(self, N, count, data):
+        size = 2 * N
+        parts = data.draw(float_arrays(2 * count * size, 2 * count * size)).reshape(count, size, 2)
+        y = parts[..., 0].astype(complex)
+        y.imag = parts[..., 1]
+        with tempfile.TemporaryDirectory() as tmp:
+            names = fio.write_ensemble(tmp, y, DiscreteGrid(N), 1, "f" * 64, False)
+            for name, row in zip(names, y):
+                with open(os.path.join(tmp, name), encoding="utf-8") as fh:
+                    assert fh.read() == written(fio.write_complex_csv, "t,re,im", row)
+            back = fio.read_ensemble(tmp)[0]
+        assert back.view(np.int64).tolist() == y.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_read_equals_the_per_file_reader_bit_for_bit(self, tmp_path, real):
+        grid = DiscreteGrid(4)
+        names = fio.write_ensemble(str(tmp_path), ensemble_values(real), grid, 1, "f" * 64, real)
+        per_file = np.stack([fio.read_realization_csv(str(tmp_path / name), grid) for name in names])
+        back = fio.read_ensemble(str(tmp_path))[0]
+        assert back.view(np.int64).tolist() == per_file.view(np.int64).tolist()
+        assert back.view(np.int64).tolist() == ensemble_values(real).astype(complex).view(np.int64).tolist()
+
+    def test_a_written_ensemble_takes_one_parse(self, tmp_path, monkeypatch):
+        grid = DiscreteGrid(32)
+        y = np.random.default_rng(3).standard_normal((48, grid.size)) + 0j
+        fio.write_ensemble(str(tmp_path), y, grid, 3, "f" * 64, False)
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(1) or loadtxt(*args, **kwargs))
+        np.testing.assert_array_equal(fio.read_ensemble(str(tmp_path))[0], y)
+        assert len(calls) == 1
+
+    EDITS = {
+        "comment_line": lambda text: text.replace(b"t,re,im\n", b"t,re,im\n# a note\n"),
+        "trailing_comment": lambda text: replace_line(text, 2, b"1,0.5,0.25 # a note"),
+        "commented_row": lambda text: replace_line(text, 3, b"# 2,0.5,0.25"),
+        "comments_only": lambda text: b"\n".join(b"#" for _ in text.split(b"\n")),
+        "blank_line": lambda text: text.replace(b"t,re,im\n", b"t,re,im\n\n"),
+        "blanked_row": lambda text: replace_line(text, 3, b""),
+        "spaces_line": lambda text: replace_line(text, 3, b"   "),
+        "crlf": lambda text: text.replace(b"\n", b"\r\n"),
+        "no_final_newline": lambda text: text[:-1],
+        "extra_row": lambda text: text + b"8,1,0\n",
+        "missing_row": lambda text: text[: text.rindex(b"\n", 0, -1) + 1],
+        "two_columns": lambda text: replace_line(text, 4, b"3,0.5"),
+        "four_columns": lambda text: replace_line(text, 4, b"3,0.5,1,2"),
+        "non_numeric": lambda text: replace_line(text, 5, b"4,abc,0"),
+        "non_utf8": lambda text: replace_line(text, 5, b"4,\xff,0"),
+        "missing_file": lambda text: None,
+    }
+    READABLE = {"comment_line", "trailing_comment", "blank_line", "crlf", "no_final_newline"}
+
+    @pytest.mark.parametrize("edit", sorted(EDITS))
+    @pytest.mark.parametrize("which", [0, 2])
+    def test_a_file_off_the_layout_reads_as_the_per_file_reader_reads_it(self, tmp_path, edit, which):
+        grid = DiscreteGrid(4)
+        names = fio.write_ensemble(str(tmp_path), ensemble_values(False), grid, 1, "f" * 64, False)
+        path = tmp_path / names[which]
+        text = self.EDITS[edit](path.read_bytes())
+        if text is None:
+            path.unlink()
+        else:
+            path.write_bytes(text)
+        per_file = outcome(lambda: np.stack([fio.read_realization_csv(str(tmp_path / n), grid) for n in names]))
+        assert outcome(lambda: fio.read_ensemble(str(tmp_path))[0]) == per_file
+        if edit not in self.READABLE:
+            assert per_file[0] in (fio.InputFormatError, FileNotFoundError) and str(path) in per_file[1]
+
+    def test_the_first_faulty_file_is_named_whatever_follows(self, tmp_path):
+        grid = DiscreteGrid(4)
+        names = fio.write_ensemble(str(tmp_path), ensemble_values(False), grid, 1, "f" * 64, False)
+        first = tmp_path / names[1]
+        first.write_bytes(replace_line(first.read_bytes(), 5, b"4,abc,0"))
+        (tmp_path / names[2]).unlink()
+        with pytest.raises(fio.InputFormatError, match="could not convert string 'abc'") as info:
+            fio.read_ensemble(str(tmp_path))
+        assert str(info.value).startswith(f"{first}: ")
+
+    def test_a_refused_ensemble_rewrites_no_file(self, tmp_path):
+        grid = DiscreteGrid(4)
+        y = ensemble_values(False)
+        fio.write_ensemble(str(tmp_path), y, grid, 1, "f" * 64, False)
+        before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+        y = 2.0 * y
+        y[-1, 3] = complex(1.0, math.nan)
+        with pytest.raises(ValueError, match="refusing to write the non-finite number nan"):
+            fio.write_ensemble(str(tmp_path), y, grid, 2, "e" * 64, False)
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+    def test_the_first_non_finite_value_is_found_in_row_time_part_order(self, tmp_path):
+        y = ensemble_values(False)
+        y[1, 2] = complex(1.0, math.inf)
+        y[1, 5] = complex(math.nan, 0.0)
+        y[2, 0] = complex(-math.inf, 0.0)
+        with pytest.raises(ValueError, match="refusing to write the non-finite number inf"):
+            fio.write_ensemble(str(tmp_path), y, DiscreteGrid(4), 1, "f" * 64, False)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunRecord:

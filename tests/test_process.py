@@ -193,6 +193,18 @@ class TestSampling:
         with pytest.raises(ValueError, match=f"spectrum sample is negative or not finite at node j=-1: {bad!r}"):
             sample_realizations(SpectrumSamples(grid, values), 2, seed=1, real_valued=real_valued)
 
+    @pytest.mark.parametrize("real_valued", [False, True])
+    def test_variance_overflow_is_refused_before_any_draw(self, real_valued):
+        # Phi_j = 1e308 is finite, but the draw variance 2N Phi_j overflowed with a numpy warning
+        grid = DiscreteGrid(4)
+        values = np.ones(grid.size)
+        values[[grid.position(-2), grid.position(2)]] = 1e308
+        with pytest.raises(ValueError, match="spectrum sample times 2N=8 is not finite at node j=-2: 1e[+]308"):
+            sample_realizations(SpectrumSamples(grid, values), 2, seed=1, real_valued=real_valued)
+        # just below the limit the draws stay finite
+        values[[grid.position(-2), grid.position(2)]] = np.finfo(float).max / grid.size
+        assert np.isfinite(sample_realizations(SpectrumSamples(grid, values), 2, seed=1, real_valued=real_valued)).all()
+
 
 class TestPeriodogram:
     def test_impulse(self):
@@ -369,6 +381,13 @@ class TestConjugacy:
         values = np.ones(grid.size)
         values[grid.position(2)] = bad
         with pytest.raises(ValueError, match=f"spectrum sample is negative or not finite at node j=2: {bad!r}"):
+            conjugacy_check(SpectrumSamples(grid, values), 10, seed=1)
+
+    def test_variance_overflow_is_refused(self):
+        grid = DiscreteGrid(4)
+        values = np.ones(grid.size)
+        values[grid.position(2)] = 1e308
+        with pytest.raises(ValueError, match="spectrum sample times 2N=8 is not finite at node j=2: 1e[+]308"):
             conjugacy_check(SpectrumSamples(grid, values), 10, seed=1)
 
     def test_spectrum_is_checked_before_the_count(self):
